@@ -20,7 +20,7 @@ class Table1Bench extends AnyFunSuite {
       val vals = rows.map(f)
       assert(vals.max / vals.min < 20.0, s"per-op cost not flat: $vals")
     }
-    flat(_.ttiNs); flat(_.getDegNs); flat(_.addEdgeNs); flat(_.delEdgeNs)
+    flat(_.ttiNs); flat(_.getDegNs); flat(_.addEdgeNs); flat(_.delEdgeNs); flat(_.copyNs)
   }
 }
 

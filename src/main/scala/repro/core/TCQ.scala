@@ -27,6 +27,7 @@ object TCQ {
       window: Interval,
       constraints: Constraints = Constraints.none,
       pruning: Boolean = true): TCQResult = {
+    require(k >= 1, s"k must be >= 1, got $k")
     val Ts = window.ts
     val Te = window.te
     val sched = new Schedule(Ts, Te)

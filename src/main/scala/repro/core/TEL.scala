@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import java.util.Arrays.copyOf
 
 /** A minimal long-keyed binary min-heap over packed `(degree, vertex)` keys.
   *
@@ -8,16 +8,14 @@ import scala.collection.mutable
   * fresh entry and stale entries are skipped at pop time, giving the
   * `O(log |V|)` per-update bound the paper assumes for H_v (§5.2).
   */
-private[repro] final class LongMinHeap(initialCapacity: Int = 64) {
-  private var arr = new Array[Long](math.max(4, initialCapacity))
-  private var n = 0
+private[repro] final class LongMinHeap private (private var arr: Array[Long], private var n: Int) {
 
-  def size: Int = n
+  def this(initialCapacity: Int) = this(new Array[Long](math.max(4, initialCapacity)), 0)
+
   def nonEmpty: Boolean = n > 0
-  def isEmpty: Boolean = n == 0
 
   def push(key: Long): Unit = {
-    if (n == arr.length) arr = java.util.Arrays.copyOf(arr, arr.length * 2)
+    if (n == arr.length) arr = copyOf(arr, math.max(4, arr.length * 2))
     arr(n) = key
     var i = n
     n += 1
@@ -35,7 +33,12 @@ private[repro] final class LongMinHeap(initialCapacity: Int = 64) {
     val top = arr(0)
     n -= 1
     arr(0) = arr(n)
-    var i = 0
+    siftDown(0)
+    top
+  }
+
+  private def siftDown(start: Int): Unit = {
+    var i = start
     var continue = true
     while (continue) {
       val l = 2 * i + 1
@@ -46,17 +49,86 @@ private[repro] final class LongMinHeap(initialCapacity: Int = 64) {
       if (m == i) continue = false
       else { val tmp = arr(m); arr(m) = arr(i); arr(i) = tmp; i = m }
     }
-    top
   }
 
-  def clear(): Unit = n = 0
+  /** Bytes held by the backing array (Table 5 accounting). */
+  def bytes: Long = TEL.arrayBytes(arr.length, 8)
+}
+
+private[repro] object LongMinHeap {
+  /** Heap over the first `n` keys of `keys`, which it takes over: built
+    * bottom-up in O(n).
+    */
+  def heapify(keys: Array[Long], n: Int): LongMinHeap = {
+    val heap = new LongMinHeap(keys, n)
+    var i = n / 2 - 1
+    while (i >= 0) { heap.siftDown(i); i -= 1 }
+    heap
+  }
+}
+
+/** Open-addressing `Long -> Int` dictionary on two primitive arrays (linear
+  * probing, Fibonacci hashing, no removal) for non-negative keys. TEL uses it
+  * for the external-id and vertex-pair dictionaries that `addEdge` needs, and
+  * `copyRange` for its window remaps.
+  */
+private[core] final class LongIntMap(expected: Int) {
+  private var keys: Array[Long] = _
+  private var vals: Array[Int] = _
+  private var shift = 0
+  private var n = 0
+  alloc(Integer.highestOneBit(math.max(8, 2 * expected) - 1) << 1)
+
+  private def alloc(capacity: Int): Unit = {
+    keys = new Array[Long](capacity)
+    java.util.Arrays.fill(keys, -1L)
+    vals = new Array[Int](capacity)
+    shift = 64 - Integer.numberOfTrailingZeros(capacity)
+  }
+
+  private def slot(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> shift).toInt
+
+  /** Value stored under `key`, or -1. */
+  def get(key: Long): Int = {
+    val mask = keys.length - 1
+    var i = slot(key)
+    while (keys(i) != -1L) {
+      if (keys(i) == key) return vals(i)
+      i = (i + 1) & mask
+    }
+    -1
+  }
+
+  /** Value stored under `key`; if there is none, stores `fresh` and returns it. */
+  def getOrPut(key: Long, fresh: Int): Int = {
+    if (2 * (n + 1) > keys.length) {
+      val (ks, vs) = (keys, vals)
+      alloc(keys.length * 2)
+      n = 0
+      var j = 0
+      while (j < ks.length) { if (ks(j) != -1L) getOrPut(ks(j), vs(j)); j += 1 }
+    }
+    val mask = keys.length - 1
+    var i = slot(key)
+    while (keys(i) != -1L) {
+      if (keys(i) == key) return vals(i)
+      i = (i + 1) & mask
+    }
+    keys(i) = key; vals(i) = fresh; n += 1
+    fresh
+  }
+
+  def bytes: Long = TEL.arrayBytes(keys.length, 8) + TEL.arrayBytes(vals.length, 4)
 }
 
 /** Temporal Edge List (paper §5.1) — the in-memory representation of a
   * temporal graph on which TCD operations execute.
   *
-  * Edges live in parallel primitive arrays and are threaded through four
-  * intrusive doubly-linked lists:
+  * All state lives in plain arrays indexed by dense, instance-local `Int`
+  * ids: edges, vertices, vertex pairs and time nodes are numbered in order of
+  * appearance, and an id table maps local vertices back to their external
+  * `Long` ids for output. Edges are threaded through four intrusive
+  * doubly-linked lists:
   *
   *   - '''TL(t)''' — all edges with timestamp `t`; the TLs themselves are
   *     linked into an ascending ''timeline'' so `get_TTI`, `next_TL`,
@@ -68,59 +140,80 @@ private[repro] final class LongMinHeap(initialCapacity: Int = 64) {
   *     link-strength extension purge a weakening pair in time linear in the
   *     number of its remaining edges.
   *
-  * Degrees count ''distinct neighbours'' (paper's definition). A vertex heap
-  * H_v ordered by degree drives decomposition. All Table-1 manipulations are
-  * O(1); `truncate`/`decompose` are streams of `del_edge` calls.
+  * Every edge stores its endpoints, its pair slot and its time node, so
+  * `del_edge` and with it `truncate` and `decompose` touch arrays only.
+  * Degrees count ''distinct neighbours'' (paper's definition). The vertex
+  * heap H_v that drives decomposition is heapified from the degree array at
+  * the first `decompose`, so masters and row sources, which never peel, carry
+  * none.
   *
-  * Instances are single-threaded and mutable; `copy()` snapshots the alive
-  * edges into a fresh TEL. `addEdge` implements the dynamic-graph extension
-  * (§6.1): timestamps may only append at the tail of the timeline.
+  * Copies cost no hashing. `copy()` is one `System.arraycopy` per array over
+  * the used prefix (dead edges included, so every link stays valid);
+  * `copyRange(ts, te)` compacts the window's edges, vertices and pairs into
+  * fresh ids, so the result is sized by the window, not by the source. The
+  * only hash lookups are the external-id and pair dictionaries behind
+  * `addEdge`, `degreeOf` and `strengthOf`; a copy rebuilds them from its
+  * arrays the first time one of those is called.
+  *
+  * Instances are single-threaded and mutable. `addEdge` implements the
+  * dynamic-graph extension (§6.1): timestamps may only append at the tail of
+  * the timeline.
   *
   * @param h link-strength lower bound (§6.2); 1 = plain TCQ semantics
   */
-final class TEL private (val h: Int) {
+final class TEL private (val h: Int, edgeCapacity: Int) {
+  import TEL.{arrayBytes, pairKey}
 
-  // ---- edge storage (parallel arrays, grown on demand) ----
-  private var us: Array[Long] = new Array[Long](16)
-  private var vs: Array[Long] = new Array[Long](16)
-  private var ets: Array[Int] = new Array[Int](16)
-  private var alive: Array[Boolean] = new Array[Boolean](16)
+  // ---- edges: local ids [0, nEdges); deleted edges keep their slot ----
+  private var eu, ev, etn, epair: Array[Int] = new Array[Int](edgeCapacity)
   private var tlNext, tlPrev, slNext, slPrev, dlNext, dlPrev, plNext, plPrev: Array[Int] =
-    new Array[Int](16)
-  private var nEdges = 0        // total ever added (array high-water mark)
+    new Array[Int](edgeCapacity)
+  private var nEdges = 0
   private var nAlive = 0
 
   // ---- time nodes (one per distinct timestamp, linked ascending) ----
-  private var tVals: Array[Int] = new Array[Int](16)
-  private var tnNext, tnPrev, tlHead, tlTail, tlCount: Array[Int] = new Array[Int](16)
+  private var tVals, tnNext, tnPrev, tlHead, tlTail: Array[Int] = new Array[Int](16)
   private var nTimeNodes = 0
   private var headTn = -1
   private var tailTn = -1
-  private val tnOf = mutable.HashMap.empty[Int, Int] // timestamp -> node id
 
-  // ---- per-vertex and per-pair state ----
-  private val slHead = mutable.LongMap.empty[Int]
-  private val slTail = mutable.LongMap.empty[Int]
-  private val dlHead = mutable.LongMap.empty[Int]
-  private val dlTail = mutable.LongMap.empty[Int]
-  private val plHeadM = mutable.LongMap.empty[Int]
-  private val plTailM = mutable.LongMap.empty[Int]
-  private val pairCount = mutable.LongMap.empty[Int]
-  private val degree = mutable.LongMap.empty[Int]
+  // ---- vertices: local ids [0, nVerts), external id in `ext` ----
+  private var ext: Array[Long] = new Array[Long](16)
+  private var slHead, dlHead, degree: Array[Int] = new Array[Int](16)
+  private var nVerts = 0
+  private var nLive = 0 // vertices with degree > 0
 
-  private val heap = new LongMinHeap()
-  private val purgeQueue = mutable.Queue.empty[Long]
-  private val purgePending = mutable.LongMap.empty[Boolean]
+  // ---- vertex pairs: strength = number of alive parallel edges ----
+  private var plHead, strength: Array[Int] = new Array[Int](16)
+  private var pending: Array[Boolean] = new Array[Boolean](16) // queued for a §6.2 purge
+  private var nPairs = 0
+  private var purge: Array[Int] = new Array[Int](16) // stack of pending pairs
+  private var nPurge = 0
+
+  private var heap: LongMinHeap = null      // H_v, from the first decompose
+  private var vertexIds: LongIntMap = null  // external id -> local vertex
+  private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
 
   // ---------------------------------------------------------------- queries
 
   def numAliveEdges: Int = nAlive
-  def numVertices: Int = degree.size
+  def numVertices: Int = nLive
   def isEmpty: Boolean = nAlive == 0
-  def vertices: Iterator[Long] = degree.keysIterator
-  def degreeOf(v: Long): Int = degree.getOrElse(v, 0)
-  def strengthOf(u: Long, v: Long): Int =
-    pairCount.getOrElse(TemporalEdge.pairKey(u, v), 0)
+  def vertices: Iterator[Long] = Iterator.range(0, nVerts).filter(degree(_) > 0).map(ext(_))
+
+  def degreeOf(v: Long): Int = {
+    dictionaries()
+    val x = vertexIds.get(v)
+    if (x < 0) 0 else degree(x)
+  }
+
+  def strengthOf(u: Long, v: Long): Int = {
+    dictionaries()
+    val a = vertexIds.get(u)
+    val b = vertexIds.get(v)
+    val p = if (a < 0 || b < 0) -1 else pairIds.get(pairKey(a, b))
+    if (p < 0) 0 else strength(p)
+  }
 
   /** `get_TTI` (Table 1): head and tail of the timeline, O(1). */
   def tti: Option[Interval] =
@@ -139,66 +232,157 @@ final class TEL private (val h: Int) {
   }
 
   /** All alive edges in timeline order. */
-  def edges: Vector[TemporalEdge] = {
-    val b = Vector.newBuilder[TemporalEdge]
+  def edges: Vector[TemporalEdge] = collect(withVertices = false)._1
+
+  /** Snapshot the current graph as a [[CoreResult]] (None when empty). */
+  def snapshot(): Option[CoreResult] = tti.map { i =>
+    val (es, vs) = collect(withVertices = true)
+    CoreResult(i, vs, es)
+  }
+
+  /** Walks the timeline collecting the alive edges and, if asked, their
+    * endpoints: O(|E| alive), however many vertex slots this TEL has.
+    */
+  private def collect(withVertices: Boolean): (Vector[TemporalEdge], Set[Long]) = {
+    val es = Vector.newBuilder[TemporalEdge]
+    val vs = Set.newBuilder[Long]
+    val seen = new Array[Boolean](if (withVertices) nVerts else 0)
+    def endpoint(x: Int): Unit = if (!seen(x)) { seen(x) = true; vs += ext(x) }
     var tn = headTn
     while (tn != -1) {
       var e = tlHead(tn)
-      while (e != -1) { b += TemporalEdge(us(e), vs(e), ets(e)); e = tlNext(e) }
+      while (e != -1) {
+        es += TemporalEdge(ext(eu(e)), ext(ev(e)), tVals(tn))
+        if (withVertices) { endpoint(eu(e)); endpoint(ev(e)) }
+        e = tlNext(e)
+      }
       tn = tnNext(tn)
     }
-    b.result()
+    (es.result(), vs.result())
   }
-
-  /** Snapshot the current graph as a [[CoreResult]] (None when empty). */
-  def snapshot(): Option[CoreResult] =
-    tti.map(i => CoreResult(i, degree.keysIterator.toSet, edges))
 
   // ------------------------------------------------------------ construction
 
   private def growEdges(): Unit = {
-    val cap = us.length * 2
-    us = java.util.Arrays.copyOf(us, cap); vs = java.util.Arrays.copyOf(vs, cap)
-    ets = java.util.Arrays.copyOf(ets, cap); alive = java.util.Arrays.copyOf(alive, cap)
-    tlNext = java.util.Arrays.copyOf(tlNext, cap); tlPrev = java.util.Arrays.copyOf(tlPrev, cap)
-    slNext = java.util.Arrays.copyOf(slNext, cap); slPrev = java.util.Arrays.copyOf(slPrev, cap)
-    dlNext = java.util.Arrays.copyOf(dlNext, cap); dlPrev = java.util.Arrays.copyOf(dlPrev, cap)
-    plNext = java.util.Arrays.copyOf(plNext, cap); plPrev = java.util.Arrays.copyOf(plPrev, cap)
-  }
-
-  private def growTimeNodes(): Unit = {
-    val cap = tVals.length * 2
-    tVals = java.util.Arrays.copyOf(tVals, cap)
-    tnNext = java.util.Arrays.copyOf(tnNext, cap); tnPrev = java.util.Arrays.copyOf(tnPrev, cap)
-    tlHead = java.util.Arrays.copyOf(tlHead, cap); tlTail = java.util.Arrays.copyOf(tlTail, cap)
-    tlCount = java.util.Arrays.copyOf(tlCount, cap)
+    val cap = math.max(16, eu.length * 2)
+    eu = copyOf(eu, cap); ev = copyOf(ev, cap); etn = copyOf(etn, cap); epair = copyOf(epair, cap)
+    tlNext = copyOf(tlNext, cap); tlPrev = copyOf(tlPrev, cap)
+    slNext = copyOf(slNext, cap); slPrev = copyOf(slPrev, cap)
+    dlNext = copyOf(dlNext, cap); dlPrev = copyOf(dlPrev, cap)
+    plNext = copyOf(plNext, cap); plPrev = copyOf(plPrev, cap)
   }
 
   /** `add_TL(t)` (§6.1): appends a new time node at the tail. The caller
     * guarantees `t` is strictly greater than every existing timestamp.
     */
   private def addTimeNode(t: Int): Int = {
-    if (nTimeNodes == tVals.length) growTimeNodes()
+    if (nTimeNodes == tVals.length) {
+      val cap = math.max(16, tVals.length * 2)
+      tVals = copyOf(tVals, cap); tnNext = copyOf(tnNext, cap); tnPrev = copyOf(tnPrev, cap)
+      tlHead = copyOf(tlHead, cap); tlTail = copyOf(tlTail, cap)
+    }
     val tn = nTimeNodes
     nTimeNodes += 1
-    tVals(tn) = t; tlHead(tn) = -1; tlTail(tn) = -1; tlCount(tn) = 0
+    tVals(tn) = t; tlHead(tn) = -1; tlTail(tn) = -1
     tnNext(tn) = -1; tnPrev(tn) = tailTn
     if (tailTn != -1) tnNext(tailTn) = tn else headTn = tn
     tailTn = tn
-    tnOf(t) = tn
     tn
   }
 
-  private def incDegree(x: Long): Unit = {
-    val d = degree.getOrElse(x, 0) + 1
-    degree(x) = d
-    heap.push((d.toLong << 32) | x)
+  /** The local vertex `dict` maps `key` to; a fresh one, for external id
+    * `id`, if there is none.
+    */
+  private def vertexSlot(dict: LongIntMap, key: Long, id: Long): Int = {
+    val x = dict.getOrPut(key, nVerts)
+    if (x == nVerts) {
+      if (nVerts == ext.length) {
+        val cap = math.max(16, ext.length * 2)
+        ext = copyOf(ext, cap); slHead = copyOf(slHead, cap); dlHead = copyOf(dlHead, cap)
+        degree = copyOf(degree, cap)
+      }
+      nVerts += 1
+      ext(x) = id; slHead(x) = -1; dlHead(x) = -1; degree(x) = 0
+    }
+    x
   }
 
-  private def decDegree(x: Long): Unit = {
+  /** The pair slot `dict` maps `key` to; a fresh one if there is none. */
+  private def pairSlot(dict: LongIntMap, key: Long): Int = {
+    val p = dict.getOrPut(key, nPairs)
+    if (p == nPairs) {
+      if (nPairs == plHead.length) {
+        val cap = math.max(16, plHead.length * 2)
+        plHead = copyOf(plHead, cap); strength = copyOf(strength, cap); pending = copyOf(pending, cap)
+      }
+      nPairs += 1
+      plHead(p) = -1; strength(p) = 0; pending(p) = false
+    }
+    p
+  }
+
+  private def queuePurge(p: Int): Unit = {
+    pending(p) = true
+    if (nPurge == purge.length) purge = copyOf(purge, math.max(16, purge.length * 2))
+    purge(nPurge) = p
+    nPurge += 1
+  }
+
+  private def incDegree(x: Int): Unit = {
+    val d = degree(x) + 1
+    degree(x) = d
+    if (d == 1) nLive += 1
+    if (heap != null) heap.push((d.toLong << 32) | x)
+  }
+
+  private def decDegree(x: Int): Unit = {
     val d = degree(x) - 1
-    if (d == 0) degree.remove(x)
-    else { degree(x) = d; heap.push((d.toLong << 32) | x) }
+    degree(x) = d
+    if (d == 0) nLive -= 1
+    else if (heap != null) heap.push((d.toLong << 32) | x)
+  }
+
+  /** Builds the external-id and pair dictionaries if this instance is a copy
+    * that has none yet. Every pair slot has at least one edge, alive or not.
+    */
+  private def dictionaries(): Unit = if (vertexIds == null) {
+    vertexIds = new LongIntMap(nVerts)
+    var x = 0
+    while (x < nVerts) { vertexIds.getOrPut(ext(x), x); x += 1 }
+    pairIds = new LongIntMap(nPairs)
+    var e = 0
+    while (e < nEdges) { pairIds.getOrPut(pairKey(eu(e), ev(e)), epair(e)); e += 1 }
+  }
+
+  /** Appends edge `(u, v, t)` of pair `p` in local ids: the tail of TL(t),
+    * the heads of SL(u), DL(v) and PL(p), plus strength and degree updates.
+    */
+  private def append(u: Int, v: Int, p: Int, t: Int): Unit = {
+    if (nEdges == eu.length) growEdges()
+    val e = nEdges
+    nEdges += 1
+    nAlive += 1
+    val tn = if (tailTn != -1 && tVals(tailTn) == t) tailTn else addTimeNode(t)
+    eu(e) = u; ev(e) = v; etn(e) = tn; epair(e) = p
+    tlNext(e) = -1; tlPrev(e) = tlTail(tn)
+    if (tlTail(tn) != -1) tlNext(tlTail(tn)) = e else tlHead(tn) = e
+    tlTail(tn) = e
+    slPrev(e) = -1; slNext(e) = slHead(u)
+    if (slHead(u) != -1) slPrev(slHead(u)) = e
+    slHead(u) = e
+    dlPrev(e) = -1; dlNext(e) = dlHead(v)
+    if (dlHead(v) != -1) dlPrev(dlHead(v)) = e
+    dlHead(v) = e
+    plPrev(e) = -1; plNext(e) = plHead(p)
+    if (plHead(p) != -1) plPrev(plHead(p)) = e
+    plHead(p) = e
+    val c = strength(p) + 1
+    strength(p) = c
+    if (c == 1) { incDegree(u); incDegree(v) }
+    // Pairs below the strength bound are purge-pending from the start;
+    // reaching h cancels the pending flag (stale stack entries are skipped).
+    if (c < h) { if (!pending(p)) queuePurge(p) }
+    else if (c == h) pending(p) = false
   }
 
   /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`, ids in
@@ -210,52 +394,10 @@ final class TEL private (val h: Int) {
       "vertex ids must fit in 31 bits")
     require(tailTn == -1 || t >= tVals(tailTn),
       s"timestamps must be appended in order: $t < ${tVals(tailTn)}")
-    if (nEdges == us.length) growEdges()
-    val e = nEdges
-    nEdges += 1
-    us(e) = u; vs(e) = v; ets(e) = t; alive(e) = true
-    nAlive += 1
-    // TL
-    val tn = tnOf.getOrElse(t, addTimeNode(t))
-    tlNext(e) = -1; tlPrev(e) = tlTail(tn)
-    if (tlTail(tn) != -1) tlNext(tlTail(tn)) = e else tlHead(tn) = e
-    tlTail(tn) = e; tlCount(tn) += 1
-    // SL / DL
-    slNext(e) = -1; slPrev(e) = slTail.getOrElse(u, -1)
-    slTail.get(u) match {
-      case Some(tail) => slNext(tail) = e
-      case None       => slHead(u) = e
-    }
-    slTail(u) = e
-    dlNext(e) = -1; dlPrev(e) = dlTail.getOrElse(v, -1)
-    dlTail.get(v) match {
-      case Some(tail) => dlNext(tail) = e
-      case None       => dlHead(v) = e
-    }
-    dlTail(v) = e
-    // PL + degree
-    val key = TemporalEdge.pairKey(u, v)
-    plNext(e) = -1; plPrev(e) = plTailM.getOrElse(key, -1)
-    plTailM.get(key) match {
-      case Some(tail) => plNext(tail) = e
-      case None       => plHeadM(key) = e
-    }
-    plTailM(key) = e
-    val c = pairCount.getOrElse(key, 0) + 1
-    pairCount(key) = c
-    if (c == 1) { incDegree(u); incDegree(v) }
-    if (h > 1) {
-      // Pairs below the strength bound are purge-pending from the start;
-      // reaching h cancels the pending flag (stale queue entries are skipped).
-      if (c < h) {
-        if (!purgePending.getOrElse(key, false)) {
-          purgePending(key) = true
-          purgeQueue.enqueue(key)
-        }
-      } else if (c == h && purgePending.getOrElse(key, false)) {
-        purgePending(key) = false
-      }
-    }
+    dictionaries()
+    val a = vertexSlot(vertexIds, u, u)
+    val b = vertexSlot(vertexIds, v, v)
+    append(a, b, pairSlot(pairIds, pairKey(a, b)), t)
   }
 
   // -------------------------------------------------------------- deletion
@@ -264,61 +406,52 @@ final class TEL private (val h: Int) {
     val p = tnPrev(tn); val nx = tnNext(tn)
     if (p != -1) tnNext(p) = nx else headTn = nx
     if (nx != -1) tnPrev(nx) = p else tailTn = p
-    tnOf.remove(tVals(tn))
   }
 
-  /** `del_edge(e)` (Table 1): O(1) unlink from all four lists plus degree /
-    * strength bookkeeping. Pairs whose strength drops into `(0, h)` are
-    * queued for purging (§6.2); `drainPurges()` completes the cascade.
+  /** `del_edge(e)` (Table 1): O(1) unlink of an alive edge from all four
+    * lists plus degree / strength bookkeeping. Pairs whose strength drops
+    * into `(0, h)` are queued for purging (§6.2); `drainPurges()` completes
+    * the cascade.
     */
   private def delEdge(e: Int): Unit = {
-    if (!alive(e)) return
-    alive(e) = false
     nAlive -= 1
-    val u = us(e); val v = vs(e); val t = ets(e)
-    // TL unlink
-    val tn = tnOf(t)
+    val u = eu(e); val v = ev(e); val p = epair(e)
+    // TL unlink; del_TL once its last edge dies
+    val tn = etn(e)
     val tp = tlPrev(e); val tx = tlNext(e)
     if (tp != -1) tlNext(tp) = tx else tlHead(tn) = tx
     if (tx != -1) tlPrev(tx) = tp else tlTail(tn) = tp
-    tlCount(tn) -= 1
-    if (tlCount(tn) == 0) removeTimeNode(tn) // del_TL once its last edge dies
-    // SL unlink
+    if (tlHead(tn) == -1) removeTimeNode(tn)
+    // SL / DL / PL unlink
     val sp = slPrev(e); val sx = slNext(e)
-    if (sp != -1) slNext(sp) = sx else { if (sx != -1) slHead(u) = sx else slHead.remove(u) }
-    if (sx != -1) slPrev(sx) = sp else { if (sp != -1) slTail(u) = sp else slTail.remove(u) }
-    // DL unlink
+    if (sp != -1) slNext(sp) = sx else slHead(u) = sx
+    if (sx != -1) slPrev(sx) = sp
     val dp = dlPrev(e); val dx = dlNext(e)
-    if (dp != -1) dlNext(dp) = dx else { if (dx != -1) dlHead(v) = dx else dlHead.remove(v) }
-    if (dx != -1) dlPrev(dx) = dp else { if (dp != -1) dlTail(v) = dp else dlTail.remove(v) }
-    // PL unlink + strength / degree
-    val key = TemporalEdge.pairKey(u, v)
+    if (dp != -1) dlNext(dp) = dx else dlHead(v) = dx
+    if (dx != -1) dlPrev(dx) = dp
     val pp = plPrev(e); val px = plNext(e)
-    if (pp != -1) plNext(pp) = px else { if (px != -1) plHeadM(key) = px else plHeadM.remove(key) }
-    if (px != -1) plPrev(px) = pp else { if (pp != -1) plTailM(key) = pp else plTailM.remove(key) }
-    val c = pairCount(key) - 1
+    if (pp != -1) plNext(pp) = px else plHead(p) = px
+    if (px != -1) plPrev(px) = pp
+    // strength / degree
+    val c = strength(p) - 1
+    strength(p) = c
     if (c == 0) {
-      pairCount.remove(key)
-      purgePending.remove(key)
+      pending(p) = false
       decDegree(u); decDegree(v)
-    } else {
-      pairCount(key) = c
-      if (c < h && !purgePending.getOrElse(key, false)) {
-        purgePending(key) = true
-        purgeQueue.enqueue(key)
-      }
-    }
+    } else if (c < h && !pending(p)) queuePurge(p)
   }
 
   /** Deletes every remaining edge of pairs whose strength fell below `h`
-    * (the modified TCD of §6.2). A no-op when `h == 1`.
+    * (the modified TCD of §6.2). A no-op when `h == 1`. A pair stays pending
+    * while its edges go, so it is not queued again; its last deletion clears
+    * the flag.
     */
   private def drainPurges(): Unit = {
-    while (purgeQueue.nonEmpty) {
-      val key = purgeQueue.dequeue()
-      if (purgePending.getOrElse(key, false)) {
-        purgePending.remove(key)
-        var e = plHeadM.getOrElse(key, -1)
+    while (nPurge > 0) {
+      nPurge -= 1
+      val p = purge(nPurge)
+      if (pending(p)) {
+        var e = plHead(p)
         while (e != -1) { val nx = plNext(e); delEdge(e); e = nx }
       }
     }
@@ -331,17 +464,27 @@ final class TEL private (val h: Int) {
     */
   def truncate(ts: Int, te: Int): Unit = {
     while (headTn != -1 && tVals(headTn) < ts) {
-      val tn = headTn
-      var e = tlHead(tn)
+      var e = tlHead(headTn)
       // Deleting the TL's last edge removes the time node and advances headTn.
       while (e != -1) { val nx = tlNext(e); delEdge(e); e = nx }
     }
     while (tailTn != -1 && tVals(tailTn) > te) {
-      val tn = tailTn
-      var e = tlHead(tn)
+      var e = tlHead(tailTn)
       while (e != -1) { val nx = tlNext(e); delEdge(e); e = nx }
     }
     drainPurges()
+  }
+
+  /** H_v over the current degrees, heapified in O(|V|). */
+  private def degreeHeap(): LongMinHeap = {
+    val keys = new Array[Long](nLive)
+    var n = 0
+    var x = 0
+    while (x < nVerts) {
+      if (degree(x) > 0) { keys(n) = (degree(x).toLong << 32) | x; n += 1 }
+      x += 1
+    }
+    LongMinHeap.heapify(keys, n)
   }
 
   /** Decomposition phase of TCD (Algorithm 4 lines 15–24): peel vertices
@@ -349,20 +492,20 @@ final class TEL private (val h: Int) {
     */
   def decompose(k: Int): Unit = {
     drainPurges()
+    if (heap == null) heap = degreeHeap()
     var done = false
     while (!done && heap.nonEmpty) {
       val key = heap.peek
       val d = (key >>> 32).toInt
-      val v = key & 0xFFFFFFFFL
-      val cur = degree.getOrElse(v, -1)
-      if (cur != d) { heap.pop(); () } // stale entry
+      val v = key.toInt
+      if (degree(v) != d) heap.pop() // stale entry
       else if (d >= k) done = true
       else {
         heap.pop()
         // peel v: delete all incident edges via SL(v) then DL(v)
-        var e = slHead.getOrElse(v, -1)
+        var e = slHead(v)
         while (e != -1) { val nx = slNext(e); delEdge(e); e = nx }
-        e = dlHead.getOrElse(v, -1)
+        e = dlHead(v)
         while (e != -1) { val nx = dlNext(e); delEdge(e); e = nx }
         drainPurges()
       }
@@ -372,45 +515,78 @@ final class TEL private (val h: Int) {
   /** Full TCD operation: induce the temporal k-core of `[ts, te]` in place. */
   def tcd(k: Int, ts: Int, te: Int): Unit = { truncate(ts, te); decompose(k) }
 
+  // ----------------------------------------------------------------- copies
+
   /** Fresh TEL holding only the alive edges with timestamps in `[ts, te]` —
     * the paper's "copy of TEL(G[Ts,Te]) obtained by truncating TEL(G)"
-    * (§5.2) without mutating the master: O(|E_[ts,te]|) plus a pointer walk
-    * over the timeline prefix.
+    * (§5.2) without mutating the source. Edges, vertices and pairs of the
+    * window get fresh dense ids through two window-sized remaps, so the cost
+    * is O(|E_[ts,te]|) plus a pointer walk over the timeline prefix.
     */
   def copyRange(ts: Int, te: Int): TEL = {
-    val t = new TEL(h)
-    var tn = headTn
-    while (tn != -1 && tVals(tn) < ts) tn = tnNext(tn)
+    var first = headTn
+    while (first != -1 && tVals(first) < ts) first = tnNext(first)
+    var m = 0
+    var tn = first
     while (tn != -1 && tVals(tn) <= te) {
       var e = tlHead(tn)
-      while (e != -1) { t.addEdge(us(e), vs(e), ets(e)); e = tlNext(e) }
+      while (e != -1) { m += 1; e = tlNext(e) }
       tn = tnNext(tn)
     }
-    t
-  }
-
-  /** Deep copy: rebuilds a fresh TEL from the alive edges, O(|E| alive). */
-  def copy(): TEL = {
-    val t = new TEL(h)
-    var tn = headTn
-    while (tn != -1) {
+    val t = new TEL(h, m)
+    val vertexOf = new LongIntMap(m) // local vertex here -> local vertex in t
+    val pairOf = new LongIntMap(m)   // pair here -> pair in t
+    tn = first
+    while (tn != -1 && tVals(tn) <= te) {
       var e = tlHead(tn)
-      while (e != -1) { t.addEdge(us(e), vs(e), ets(e)); e = tlNext(e) }
+      while (e != -1) {
+        val a = t.vertexSlot(vertexOf, eu(e), ext(eu(e)))
+        val b = t.vertexSlot(vertexOf, ev(e), ext(ev(e)))
+        t.append(a, b, t.pairSlot(pairOf, epair(e)), tVals(tn))
+        e = tlNext(e)
+      }
       tn = tnNext(tn)
     }
     t
   }
 
-  /** Exact byte accounting of the array-backed storage plus an estimate for
-    * the hash maps (Table 5). Pointers in the paper's TEL correspond to the
-    * Int link slots here.
+  /** Deep copy: one array copy per array over the used prefix, O(slots
+    * used) with no hashing. The copy starts without H_v and dictionaries and
+    * builds them when first needed.
+    */
+  def copy(): TEL = {
+    val t = new TEL(h, 0)
+    t.eu = copyOf(eu, nEdges); t.ev = copyOf(ev, nEdges)
+    t.etn = copyOf(etn, nEdges); t.epair = copyOf(epair, nEdges)
+    t.tlNext = copyOf(tlNext, nEdges); t.tlPrev = copyOf(tlPrev, nEdges)
+    t.slNext = copyOf(slNext, nEdges); t.slPrev = copyOf(slPrev, nEdges)
+    t.dlNext = copyOf(dlNext, nEdges); t.dlPrev = copyOf(dlPrev, nEdges)
+    t.plNext = copyOf(plNext, nEdges); t.plPrev = copyOf(plPrev, nEdges)
+    t.nEdges = nEdges; t.nAlive = nAlive
+    t.tVals = copyOf(tVals, nTimeNodes); t.tnNext = copyOf(tnNext, nTimeNodes)
+    t.tnPrev = copyOf(tnPrev, nTimeNodes)
+    t.tlHead = copyOf(tlHead, nTimeNodes); t.tlTail = copyOf(tlTail, nTimeNodes)
+    t.nTimeNodes = nTimeNodes; t.headTn = headTn; t.tailTn = tailTn
+    t.ext = copyOf(ext, nVerts); t.slHead = copyOf(slHead, nVerts)
+    t.dlHead = copyOf(dlHead, nVerts); t.degree = copyOf(degree, nVerts)
+    t.nVerts = nVerts; t.nLive = nLive
+    t.plHead = copyOf(plHead, nPairs); t.strength = copyOf(strength, nPairs)
+    t.pending = copyOf(pending, nPairs); t.nPairs = nPairs
+    t.purge = copyOf(purge, nPurge); t.nPurge = nPurge
+    t
+  }
+
+  /** Bytes held by this TEL's arrays, dictionaries and heap (Table 5),
+    * counted from their allocated lengths with a 16-byte header per array.
+    * Pointers in the paper's TEL correspond to the Int link slots here.
     */
   def memoryFootprintBytes: Long = {
-    val edgeArrays = us.length.toLong * (8 + 8 + 4 + 1 + 4 * 8) // ids, t, alive, 8 link slots
-    val timeArrays = tVals.length.toLong * (4 * 6)
-    val mapEntries = (slHead.size + slTail.size + dlHead.size + dlTail.size +
-      plHeadM.size + plTailM.size + pairCount.size + degree.size + tnOf.size).toLong
-    edgeArrays + timeArrays + mapEntries * 48 + heap.size.toLong * 8
+    val ints = Seq(eu, ev, etn, epair, tlNext, tlPrev, slNext, slPrev, dlNext, dlPrev, plNext,
+      plPrev, tVals, tnNext, tnPrev, tlHead, tlTail, slHead, dlHead, degree, plHead, strength, purge)
+    ints.map(a => arrayBytes(a.length, 4)).sum + arrayBytes(ext.length, 8) +
+      arrayBytes(pending.length, 1) +
+      Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes) +
+      Option(heap).fold(0L)(_.bytes)
   }
 }
 
@@ -422,7 +598,7 @@ object TEL {
     */
   def fromEdges(edges: IterableOnce[TemporalEdge], h: Int = 1): TEL = {
     val sorted = edges.iterator.toArray.sortBy(_.t)
-    val tel = new TEL(h)
+    val tel = new TEL(h, sorted.length)
     var i = 0
     while (i < sorted.length) {
       val e = sorted(i)
@@ -433,5 +609,10 @@ object TEL {
   }
 
   /** An empty, dynamically growable TEL (dynamic-graph extension, §6.1). */
-  def empty(h: Int = 1): TEL = new TEL(h)
+  def empty(h: Int = 1): TEL = new TEL(h, 16)
+
+  private def pairKey(a: Int, b: Int): Long = TemporalEdge.pairKey(a.toLong, b.toLong)
+
+  /** Heap bytes of a primitive array: 16-byte header plus payload. */
+  private[core] def arrayBytes(length: Int, elemBytes: Int): Long = 16L + length.toLong * elemBytes
 }

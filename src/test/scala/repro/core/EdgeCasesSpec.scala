@@ -45,6 +45,15 @@ class EdgeCasesSpec extends AnyFunSuite {
     assert(OTCD.run(es, 50, Interval(1, 6)).count == 0)
   }
 
+  test("k < 1 is rejected at the API boundary with the offending value") {
+    for (k <- Seq(0, -1)) {
+      val otcd = intercept[IllegalArgumentException](OTCD.run(tri, k, Interval(1, 6)))
+      assert(otcd.getMessage.contains(s"got $k"))
+      val tcd = intercept[IllegalArgumentException](TCD.run(tri, k, Interval(1, 6)))
+      assert(tcd.getMessage.contains(s"got $k"))
+    }
+  }
+
   test("empty edge list") {
     assert(OTCD.run(Vector.empty[TemporalEdge], 2, Interval(1, 5)).count == 0)
     assert(NaiveTCQ.run(Vector.empty[TemporalEdge], 2, Interval(1, 5)).isEmpty)

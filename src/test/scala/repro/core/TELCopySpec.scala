@@ -1,0 +1,125 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalatest.funsuite.AnyFunSuite
+
+/** Differential tests for `TEL.copy` / `copyRange`: a copy, and the source it
+  * was taken from, must both behave exactly like a TEL built from scratch
+  * over the edges they hold, through later appends and TCD operations.
+  */
+class TELCopySpec extends AnyFunSuite {
+  import TELCopySpec.Scenario
+
+  private val nV = 8
+  private val horizon = 10
+
+  private val window: Gen[(Int, Int)] = for {
+    a <- Gen.choose(0, horizon + 4)
+    b <- Gen.choose(a, horizon + 4)
+  } yield (a, b)
+
+  private def edge(t: Int): Gen[TemporalEdge] = for {
+    u <- Gen.choose(0, nV - 1)
+    d <- Gen.choose(1, nV - 1)
+  } yield TemporalEdge(u.toLong, ((u + d) % nV).toLong, t)
+
+  private val scenario: Gen[Scenario] = for {
+    h <- Gen.choose(1, 3)
+    n <- Gen.choose(0, 50)
+    edges <- Gen.listOfN(n, Gen.choose(1, horizon).flatMap(edge))
+    truncateTo <- Gen.option(window)
+    decomposeK <- Gen.option(Gen.choose(1, 3))
+    range <- Gen.option(window)
+    m <- Gen.choose(0, 12)
+    gaps <- Gen.listOfN(m, Gen.choose(0, 1)) // 0 = same timestamp as the previous append
+    appends <- Gen.sequence[Vector[TemporalEdge], TemporalEdge](
+      gaps.scanLeft(horizon + 1)(_ + _).tail.map(edge))
+    k <- Gen.choose(1, 3)
+    w <- window
+  } yield Scenario(h, edges.toVector, truncateTo, decomposeK, range, appends, k, w)
+
+  /** Every observable the TEL offers, compared with a from-scratch TEL. */
+  private def sameAs(got: TEL, exp: TEL, what: String): Unit = {
+    assert(got.edges == exp.edges, s"$what: edges")
+    assert(got.timestamps == exp.timestamps, s"$what: timestamps")
+    assert(got.tti == exp.tti, s"$what: tti")
+    assert(got.numAliveEdges == exp.numAliveEdges, s"$what: numAliveEdges")
+    assert(got.numVertices == exp.numVertices, s"$what: numVertices")
+    assert(got.vertices.toSet == exp.vertices.toSet, s"$what: vertices")
+    for (u <- 0 until nV + 1) {
+      assert(got.degreeOf(u) == exp.degreeOf(u), s"$what: degreeOf($u)")
+      for (v <- 0 until nV + 1 if v != u)
+        assert(got.strengthOf(u, v) == exp.strengthOf(u, v), s"$what: strengthOf($u, $v)")
+    }
+  }
+
+  private def run(s: Scenario): Unit = {
+    val source = TEL.fromEdges(s.edges, s.h)
+    s.truncateTo.foreach { case (a, b) => source.truncate(a, b) }
+    s.decomposeK.foreach(source.decompose)
+    val before = source.edges
+    val copy = s.range.fold(source.copy()) { case (a, b) => source.copyRange(a, b) }
+    val copied = s.range.fold(before) { case (a, b) => before.filter(e => e.t >= a && e.t <= b) }
+    sameAs(copy, TEL.fromEdges(copied, s.h), "copy")
+
+    // Interleaved appends: source and copy must not share any state.
+    s.appends.foreach { e =>
+      source.addEdge(e.u, e.v, e.t)
+      copy.addEdge(e.u, e.v, e.t)
+    }
+    val expSource = TEL.fromEdges(before ++ s.appends, s.h)
+    val expCopy = TEL.fromEdges(copied ++ s.appends, s.h)
+    sameAs(source, expSource, "source after appends")
+    sameAs(copy, expCopy, "copy after appends")
+
+    // A second-generation copy carries pending purges and appends too.
+    val again = copy.copy()
+    val (ts, te) = s.window
+    for ((got, exp, what) <- Seq((copy, expCopy, "copy"), (source, expSource, "source"),
+        (again, TEL.fromEdges(copied ++ s.appends, s.h), "copy of copy"))) {
+      got.tcd(s.k, ts, te)
+      exp.tcd(s.k, ts, te)
+      assert(got.snapshot().map(_.canonicalKey) == exp.snapshot().map(_.canonicalKey),
+        s"$what: core after tcd")
+      sameAs(got, exp, s"$what after tcd")
+    }
+  }
+
+  test("copy and copyRange match a TEL built from the alive edges (property)") {
+    val prop = Prop.forAll(scenario) { s => run(s); true }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(400), prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("copy keeps the link-strength purges pending in its source") {
+    val source = TEL.fromEdges(TestGraphs.multiEdge, h = 2) // (1,3) pending, strength 1
+    val copy = source.copy()
+    copy.decompose(1)
+    assert(copy.strengthOf(1, 3) == 0 && copy.numAliveEdges == 5)
+    assert(source.strengthOf(1, 3) == 1 && source.numAliveEdges == 6)
+  }
+
+  test("copyRange is sized by the window, not by the source") {
+    val es = TestGraphs.random(7, nV = 2000, nE = 20000, horizon = 1000)
+    val master = TEL.fromEdges(es)
+    val win = master.copyRange(500, 502)
+    assert(win.memoryFootprintBytes * 50 < master.memoryFootprintBytes)
+    assert(win.edges == es.filter(e => e.t >= 500 && e.t <= 502).sortBy(_.t))
+  }
+}
+
+object TELCopySpec {
+  /** One scenario: a random multigraph, what happens to the source before
+    * the copy, which copy is taken, the appends that follow, and the TCD
+    * operation that ends it.
+    */
+  final case class Scenario(
+      h: Int,
+      edges: Vector[TemporalEdge],
+      truncateTo: Option[(Int, Int)],
+      decomposeK: Option[Int],
+      range: Option[(Int, Int)],
+      appends: Vector[TemporalEdge],
+      k: Int,
+      window: (Int, Int))
+}
