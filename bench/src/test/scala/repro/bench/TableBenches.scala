@@ -21,6 +21,7 @@ class Table1Bench extends AnyFunSuite {
       assert(vals.max / vals.min < 20.0, s"per-op cost not flat: $vals")
     }
     flat(_.ttiNs); flat(_.getDegNs); flat(_.addEdgeNs); flat(_.delEdgeNs); flat(_.copyNs)
+    flat(_.decomposeNs)
   }
 }
 

@@ -2,71 +2,6 @@ package repro.core
 
 import java.util.Arrays.copyOf
 
-/** A minimal long-keyed binary min-heap over packed `(degree, vertex)` keys.
-  *
-  * The OTCD/TCD peeling loop uses lazy deletion: every degree change pushes a
-  * fresh entry and stale entries are skipped at pop time, giving the
-  * `O(log |V|)` per-update bound the paper assumes for H_v (§5.2).
-  */
-private[repro] final class LongMinHeap private (private var arr: Array[Long], private var n: Int) {
-
-  def this(initialCapacity: Int) = this(new Array[Long](math.max(4, initialCapacity)), 0)
-
-  def nonEmpty: Boolean = n > 0
-
-  def push(key: Long): Unit = {
-    if (n == arr.length) arr = copyOf(arr, math.max(4, arr.length * 2))
-    arr(n) = key
-    var i = n
-    n += 1
-    while (i > 0) {
-      val p = (i - 1) >> 1
-      if (arr(p) <= arr(i)) return
-      val tmp = arr(p); arr(p) = arr(i); arr(i) = tmp
-      i = p
-    }
-  }
-
-  def peek: Long = arr(0)
-
-  def pop(): Long = {
-    val top = arr(0)
-    n -= 1
-    arr(0) = arr(n)
-    siftDown(0)
-    top
-  }
-
-  private def siftDown(start: Int): Unit = {
-    var i = start
-    var continue = true
-    while (continue) {
-      val l = 2 * i + 1
-      val r = l + 1
-      var m = i
-      if (l < n && arr(l) < arr(m)) m = l
-      if (r < n && arr(r) < arr(m)) m = r
-      if (m == i) continue = false
-      else { val tmp = arr(m); arr(m) = arr(i); arr(i) = tmp; i = m }
-    }
-  }
-
-  /** Bytes held by the backing array (Table 5 accounting). */
-  def bytes: Long = TEL.arrayBytes(arr.length, 8)
-}
-
-private[repro] object LongMinHeap {
-  /** Heap over the first `n` keys of `keys`, which it takes over: built
-    * bottom-up in O(n).
-    */
-  def heapify(keys: Array[Long], n: Int): LongMinHeap = {
-    val heap = new LongMinHeap(keys, n)
-    var i = n / 2 - 1
-    while (i >= 0) { heap.siftDown(i); i -= 1 }
-    heap
-  }
-}
-
 /** Open-addressing `Long -> Int` dictionary on two primitive arrays (linear
   * probing, Fibonacci hashing, no removal) for non-negative keys. TEL uses it
   * for the external-id and vertex-pair dictionaries that `addEdge` needs, and
@@ -142,9 +77,11 @@ private[core] final class LongIntMap(expected: Int) {
   *
   * Every edge stores its endpoints, its pair slot and its time node, so
   * `del_edge` and with it `truncate` and `decompose` touch arrays only.
-  * Degrees count ''distinct neighbours'' (paper's definition). The vertex
-  * heap H_v that drives decomposition is heapified from the degree array at
-  * the first `decompose`, so masters and row sources, which never peel, carry
+  * Degrees count ''distinct neighbours'' (paper's definition).
+  * Decomposition peels with a fixed `k` instead of the paper's H_v min-heap:
+  * a stack holds the vertices whose degree fell below the `k` of the last
+  * `decompose`, and a degree change costs O(1). The stack is allocated at the
+  * first `decompose`, so masters and row sources, which never peel, carry
   * none.
   *
   * Copies cost no hashing. `copy()` is one `System.arraycopy` per array over
@@ -190,7 +127,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var purge: Array[Int] = new Array[Int](16) // stack of pending pairs
   private var nPurge = 0
 
-  private var heap: LongMinHeap = null      // H_v, from the first decompose
+  private var peelK = 0                     // k of the last decompose; 0 = rescan
+  private var below: Array[Int] = null      // stack of vertices below peelK
+  private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
   private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
 
@@ -332,14 +271,13 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     val d = degree(x) + 1
     degree(x) = d
     if (d == 1) nLive += 1
-    if (heap != null) heap.push((d.toLong << 32) | x)
   }
 
   private def decDegree(x: Int): Unit = {
     val d = degree(x) - 1
     degree(x) = d
     if (d == 0) nLive -= 1
-    else if (heap != null) heap.push((d.toLong << 32) | x)
+    else if (d == peelK - 1) { below(nBelow) = x; nBelow += 1 }
   }
 
   /** Builds the external-id and pair dictionaries if this instance is a copy
@@ -395,6 +333,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     require(tailTn == -1 || t >= tVals(tailTn),
       s"timestamps must be appended in order: $t < ${tVals(tailTn)}")
     dictionaries()
+    // New or revived vertices may sit below k without ever crossing it.
+    peelK = 0
     val a = vertexSlot(vertexIds, u, u)
     val b = vertexSlot(vertexIds, v, v)
     append(a, b, pairSlot(pairIds, pairKey(a, b)), t)
@@ -475,33 +415,31 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     drainPurges()
   }
 
-  /** H_v over the current degrees, heapified in O(|V|). */
-  private def degreeHeap(): LongMinHeap = {
-    val keys = new Array[Long](nLive)
-    var n = 0
-    var x = 0
-    while (x < nVerts) {
-      if (degree(x) > 0) { keys(n) = (degree(x).toLong << 32) | x; n += 1 }
-      x += 1
-    }
-    LongMinHeap.heapify(keys, n)
-  }
-
   /** Decomposition phase of TCD (Algorithm 4 lines 15–24): peel vertices
     * with fewer than `k` distinct (strength-qualified) neighbours.
+    *
+    * Once a `decompose(k)` has run, every live vertex below `k` is on the
+    * `below` stack: `decDegree` pushes a vertex when its degree drops from
+    * `k` to `k - 1`. A new `k`, or an `addEdge` since, needs one scan of the
+    * degrees. Without appends degrees only fall, so each live vertex is
+    * pushed at most once per scan and the stack never outgrows `nLive`.
     */
   def decompose(k: Int): Unit = {
     drainPurges()
-    if (heap == null) heap = degreeHeap()
-    var done = false
-    while (!done && heap.nonEmpty) {
-      val key = heap.peek
-      val d = (key >>> 32).toInt
-      val v = key.toInt
-      if (degree(v) != d) heap.pop() // stale entry
-      else if (d >= k) done = true
-      else {
-        heap.pop()
+    if (below == null || k != peelK) {
+      if (below == null || below.length < nLive) below = new Array[Int](nLive)
+      nBelow = 0
+      var x = 0
+      while (x < nVerts) {
+        if (degree(x) > 0 && degree(x) < k) { below(nBelow) = x; nBelow += 1 }
+        x += 1
+      }
+      peelK = k
+    }
+    while (nBelow > 0) {
+      nBelow -= 1
+      val v = below(nBelow)
+      if (degree(v) > 0 && degree(v) < k) {
         // peel v: delete all incident edges via SL(v) then DL(v)
         var e = slHead(v)
         while (e != -1) { val nx = slNext(e); delEdge(e); e = nx }
@@ -551,8 +489,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   }
 
   /** Deep copy: one array copy per array over the used prefix, O(slots
-    * used) with no hashing. The copy starts without H_v and dictionaries and
-    * builds them when first needed.
+    * used) with no hashing. The copy starts without the peel stack and
+    * dictionaries and builds them when first needed.
     */
   def copy(): TEL = {
     val t = new TEL(h, 0)
@@ -576,7 +514,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     t
   }
 
-  /** Bytes held by this TEL's arrays, dictionaries and heap (Table 5),
+  /** Bytes held by this TEL's arrays, dictionaries and peel stack (Table 5),
     * counted from their allocated lengths with a 16-byte header per array.
     * Pointers in the paper's TEL correspond to the Int link slots here.
     */
@@ -586,7 +524,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     ints.map(a => arrayBytes(a.length, 4)).sum + arrayBytes(ext.length, 8) +
       arrayBytes(pending.length, 1) +
       Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes) +
-      Option(heap).fold(0L)(_.bytes)
+      Option(below).fold(0L)(a => arrayBytes(a.length, 4))
   }
 }
 

@@ -145,6 +145,69 @@ class TELSpec extends AnyFunSuite {
     }
   }
 
+  /** Decomposes `t` at `k` and checks it against the reference core of
+    * `alive`, the edges `t` held before; returns the edges left.
+    */
+  private def peelsLikeReference(t: TEL, alive: Seq[TemporalEdge], k: Int, h: Int = 1)
+      : Vector[TemporalEdge] = {
+    t.decompose(k)
+    assert(t.snapshot().map(_.canonicalKey) == KCore.core(alive, k, h).map(_.canonicalKey),
+      s"k=$k alive=$alive")
+    t.vertices.foreach(v => assert(t.degreeOf(v) >= k, s"k=$k v=$v"))
+    t.edges
+  }
+
+  private val triangle = Vector(TemporalEdge(1, 2, 1), TemporalEdge(2, 3, 2), TemporalEdge(1, 3, 3))
+  private val k4 = Vector(TemporalEdge(1, 2, 1), TemporalEdge(1, 3, 2), TemporalEdge(1, 4, 3),
+    TemporalEdge(2, 3, 4), TemporalEdge(2, 4, 5), TemporalEdge(3, 4, 6))
+  private val k4PlusTriangle =
+    k4 ++ Vector(TemporalEdge(4, 5, 7), TemporalEdge(5, 6, 8), TemporalEdge(4, 6, 9))
+
+  test("decompose after addEdge peels new and revived vertices below k") {
+    val t = tel(triangle :+ TemporalEdge(3, 5, 3))
+    val core = peelsLikeReference(t, triangle :+ TemporalEdge(3, 5, 3), 2)
+    assert(core.size == 3)
+    // 4 is new and 5 was peeled: both come in at degree 1 without crossing k.
+    val appended = Vector(TemporalEdge(3, 4, 4), TemporalEdge(5, 1, 4))
+    appended.foreach(e => t.addEdge(e.u, e.v, e.t))
+    peelsLikeReference(t, core ++ appended, 2)
+    assert(t.degreeOf(4) == 0 && t.degreeOf(5) == 0)
+  }
+
+  test("decompose(2) then decompose(3) on one instance") {
+    val t = tel(k4PlusTriangle)
+    val c2 = peelsLikeReference(t, k4PlusTriangle, 2)
+    assert(c2.size == 9)
+    assert(peelsLikeReference(t, c2, 3).size == 6)
+  }
+
+  test("decompose(3) then decompose(2) on one instance, then truncate and peel at 2") {
+    val t = tel(k4PlusTriangle)
+    val c3 = peelsLikeReference(t, k4PlusTriangle, 3)
+    val c2 = peelsLikeReference(t, c3, 2)
+    assert(c2 == c3 && c2.size == 6)
+    t.truncate(4, 9) // triangle 2-3-4 remains
+    assert(peelsLikeReference(t, c2.filter(_.t >= 4), 2).size == 3)
+    t.truncate(5, 9) // path 2-4-3 unravels
+    assert(peelsLikeReference(t, c2.filter(_.t >= 5), 2).isEmpty)
+  }
+
+  test("link strength h=2: a purge cascade pushes a vertex below k") {
+    // K4 on 1..4 plus vertex 5 tied to 1, 2, 3, every pair doubled; one of
+    // (3,5)'s two edges sits alone at t=1.
+    val doubled = for {
+      (u, v) <- Vector((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 5), (2, 5))
+      t <- Vector(2, 3)
+    } yield TemporalEdge(u, v, t)
+    val es = doubled ++ Vector(TemporalEdge(3, 5, 1), TemporalEdge(3, 5, 3))
+    val t = tel(es, h = 2)
+    assert(peelsLikeReference(t, es, 3, h = 2).size == es.size)
+    // Dropping t=1 purges (3,5): 5 falls from degree 3 to 2 and must go.
+    t.truncate(2, 3)
+    val core = peelsLikeReference(t, es.filter(_.t >= 2), 3, h = 2)
+    assert(core.size == 12 && t.degreeOf(5) == 0)
+  }
+
   test("copy is deep: mutating the copy leaves the original intact") {
     val t = tel(TestGraphs.example)
     val c = t.copy()
