@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Interval, OTCD}
+import repro.core.{Interval, OTCD, TELEngine}
 import repro.dist.{EdgeOps, TELBuilder}
 import repro.exp.Tables
 import repro.graphgen.Datasets
@@ -66,7 +66,7 @@ object TCQJob {
       val df = EdgeOps.toDF(spark, g.edges)
       val tel = TELBuilder.fromDataFrame(df)
       println(s"built TEL from DataFrame: ${tel.numAliveEdges} edges, ${tel.numVertices} vertices")
-      val res = OTCD.run(g.edges, k, window)
+      val res = OTCD.run(new TELEngine(tel), k, window)
       println(s"TCQ($dataset, k=$k, $window): ${res.count} distinct temporal $k-cores")
       res.cores.sortBy(_.tti.ts).foreach { c =>
         println(f"  TTI ${c.tti}%-12s |V|=${c.numVertices}%-6d |E|=${c.numEdges}%-6d")

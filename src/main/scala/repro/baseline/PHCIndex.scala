@@ -8,7 +8,7 @@ import scala.collection.mutable
   *
   * For coreness bound `k`, anchored start time `ts` and vertex `v`, the
   * ''core time'' `CT(v, ts)` is the smallest `te` such that the coreness of
-  * `v` in the detemporalized projected graph `G[ts, te]` reaches `k`. The
+  * `v` in the projected graph `G[ts, te]`, timestamps dropped, reaches `k`. The
   * iPHC-Query baseline (Algorithm 1) pops vertices in core-time order.
   *
   * The original PHC-Index precomputes core times for every `(k, ts)` over

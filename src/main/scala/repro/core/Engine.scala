@@ -3,7 +3,7 @@ package repro.core
 /** A mutable temporal-graph state that supports the TCD operation.
   *
   * The enumeration driver ([[TCQ]]) is engine-agnostic: the paper's TEL is
-  * the production engine ([[TELState]]), and `repro.dist.DistTCQ` plugs a
+  * the production engine ([[TELState]]), and `repro.dist.DFEngine` plugs a
   * Spark DataFrame state into the same driver, so the pruning logic is
   * shared and cross-checked between the two.
   */
@@ -35,15 +35,15 @@ final class TELState(val tel: TEL) extends CoreState {
   override def copyState(): CoreState = new TELState(tel.copy())
 }
 
-/** [[CoreEngine]] over an in-memory edge collection, building one master TEL
-  * and truncating copies of it per query window (§5.2: the algorithm "starts
-  * to work on a copy of TEL(G[Ts,Te])").
-  *
-  * @param h link-strength bound for the §6.2 extension
+/** [[CoreEngine]] over a master TEL, truncating copies of it per query
+  * window (§5.2: the algorithm "starts to work on a copy of TEL(G[Ts,Te])").
+  * Queries never mutate the master, so it can keep growing by `addEdge`
+  * between queries (§6.1). The master's link strength `h` (§6.2) applies to
+  * every query on this engine.
   */
-final class TELEngine(allEdges: IndexedSeq[TemporalEdge], h: Int = 1) extends CoreEngine {
-  /** The master TEL of the full graph; never mutated by queries. */
-  val master: TEL = TEL.fromEdges(allEdges, h)
+final class TELEngine(val master: TEL) extends CoreEngine {
+  /** Builds the master TEL of `edges` with link-strength bound `h`. */
+  def this(edges: IndexedSeq[TemporalEdge], h: Int = 1) = this(TEL.fromEdges(edges, h))
 
   override def initial(ts: Int, te: Int): CoreState =
     new TELState(master.copyRange(ts, te))

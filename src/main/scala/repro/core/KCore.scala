@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Textbook k-core routines on simple (detemporalized) graphs.
+/** Textbook k-core routines on simple graphs (timestamps dropped).
   *
   * This is the reference substrate: the PHC-Index builder peels with it, and
   * the naïve TCQ oracle and all correctness tests compare the optimized

@@ -34,23 +34,6 @@ final case class Interval(ts: Int, te: Int) {
   override def toString: String = s"[$ts,$te]"
 }
 
-/** Constraints from the paper's query-model extensions (§6.2).
-  *
-  * @param minStrength lower bound `h` on the number of parallel edges between
-  *                    every linked vertex pair in a result core (h=1 is the
-  *                    plain TCQ semantics)
-  * @param maxSpan     optional upper bound on the result core's TTI span
-  *                    (`te' - ts'`), e.g. 0 keeps only single-timestamp cores
-  */
-final case class Constraints(minStrength: Int = 1, maxSpan: Option[Int] = None) {
-  require(minStrength >= 1, "minStrength must be >= 1")
-  def admitsSpan(tti: Interval): Boolean = maxSpan.forall(tti.span <= _)
-}
-
-object Constraints {
-  val none: Constraints = Constraints()
-}
-
 /** An induced temporal k-core, snapshotted out of a TEL (or any engine).
   *
   * Identity of a core is its edge multiset; `canonicalKey` sorts the edges so

@@ -15,6 +15,11 @@ import scala.collection.mutable
   * skipping cells predicted to induce duplicates; the driver then visits
   * only the cells needed to emit each distinct core (§4.3).
   *
+  * Link strength `h` (§6.2) is not a query parameter: it belongs to the
+  * engine, whose TEL purges sub-`h` pairs as edges are deleted. `maxSpan`
+  * (§6.2) keeps only cores whose TTI span `te' - ts'` is at most the bound,
+  * e.g. 0 keeps only single-timestamp cores.
+  *
   * Early termination: if the core of `[ts, Te]` is empty then every
   * remaining subinterval's core is empty too (Lemma 1) and the whole run
   * stops; if a smaller cell's core is empty only the row ends.
@@ -25,7 +30,7 @@ object TCQ {
       engine: CoreEngine,
       k: Int,
       window: Interval,
-      constraints: Constraints = Constraints.none,
+      maxSpan: Option[Int] = None,
       pruning: Boolean = true): TCQResult = {
     require(k >= 1, s"k must be >= 1, got $k")
     val Ts = window.ts
@@ -60,7 +65,7 @@ object TCQ {
               case Some(core) =>
                 induced += 1
                 if (!seen.add(core.tti)) duplicates += 1
-                else if (constraints.admitsSpan(core.tti)) collected(core.tti) = core
+                else if (maxSpan.forall(core.tti.span <= _)) collected(core.tti) = core
                 if (pruning) sched.applyRules(r, c, core.tti)
             }
           }
@@ -75,40 +80,14 @@ object TCQ {
 
 /** TCD algorithm (Algorithm 2): full enumeration, no inter-core pruning. */
 object TCD {
-  def run(
-      engine: CoreEngine,
-      k: Int,
-      window: Interval,
-      constraints: Constraints = Constraints.none): TCQResult =
-    TCQ.run(engine, k, window, constraints, pruning = false)
-
-  /** Convenience on raw edges via a TEL engine. */
-  def run(edges: IndexedSeq[TemporalEdge], k: Int, window: Interval): TCQResult =
-    run(new TELEngine(edges), k, window)
+  def run(engine: CoreEngine, k: Int, window: Interval, maxSpan: Option[Int] = None): TCQResult =
+    TCQ.run(engine, k, window, maxSpan, pruning = false)
 }
 
 /** OTCD algorithm (§4.3): TCD + TTI-based pruning rules. */
 object OTCD {
-  def run(
-      engine: CoreEngine,
-      k: Int,
-      window: Interval,
-      constraints: Constraints = Constraints.none): TCQResult =
-    TCQ.run(engine, k, window, constraints, pruning = true)
-
-  /** Convenience on raw edges via a TEL engine. */
-  def run(edges: IndexedSeq[TemporalEdge], k: Int, window: Interval): TCQResult =
-    run(edges, k, window, Constraints.none)
-
-  /** Convenience on raw edges with constraints (link strength builds the
-    * TEL with the matching purge bound).
-    */
-  def run(
-      edges: IndexedSeq[TemporalEdge],
-      k: Int,
-      window: Interval,
-      constraints: Constraints): TCQResult =
-    run(new TELEngine(edges, constraints.minStrength), k, window, constraints)
+  def run(engine: CoreEngine, k: Int, window: Interval, maxSpan: Option[Int] = None): TCQResult =
+    TCQ.run(engine, k, window, maxSpan, pruning = true)
 }
 
 /** Brute-force reference: peel every subinterval from scratch with the
@@ -121,7 +100,8 @@ object NaiveTCQ {
       edges: IndexedSeq[TemporalEdge],
       k: Int,
       window: Interval,
-      constraints: Constraints = Constraints.none): Vector[CoreResult] = {
+      h: Int = 1,
+      maxSpan: Option[Int] = None): Vector[CoreResult] = {
     val seen = mutable.HashSet.empty[Vector[(Long, Long, Int)]]
     val out = Vector.newBuilder[CoreResult]
     var ts = window.ts
@@ -129,8 +109,8 @@ object NaiveTCQ {
       var te = window.te
       while (te >= ts) {
         val sub = edges.filter(e => e.t >= ts && e.t <= te)
-        KCore.core(sub, k, constraints.minStrength).foreach { core =>
-          if (seen.add(core.canonicalKey) && constraints.admitsSpan(core.tti)) out += core
+        KCore.core(sub, k, h).foreach { core =>
+          if (seen.add(core.canonicalKey) && maxSpan.forall(core.tti.span <= _)) out += core
         }
         te -= 1
       }

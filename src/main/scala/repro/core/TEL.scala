@@ -100,6 +100,7 @@ private[core] final class LongIntMap(expected: Int) {
   */
 final class TEL private (val h: Int, edgeCapacity: Int) {
   import TEL.{arrayBytes, pairKey}
+  require(h >= 1, s"link strength h must be >= 1, got $h")
 
   // ---- edges: local ids [0, nEdges); deleted edges keep their slot ----
   private var eu, ev, etn, epair: Array[Int] = new Array[Int](edgeCapacity)
@@ -158,8 +159,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   def tti: Option[Interval] =
     if (nAlive == 0) None else Some(Interval(tVals(headTn), tVals(tailTn)))
 
-  /** Smallest / largest alive timestamp, O(1); None when empty. */
-  def minTimestamp: Option[Int] = if (nAlive == 0) None else Some(tVals(headTn))
+  /** Largest alive timestamp, O(1); None when empty. */
   def maxTimestamp: Option[Int] = if (nAlive == 0) None else Some(tVals(tailTn))
 
   /** Alive distinct timestamps in ascending order (walks the timeline). */

@@ -29,25 +29,14 @@ final class DFState(private var df: DataFrame, h: Int) extends CoreState {
   override def copyState(): CoreState = new DFState(df, h)
 }
 
-/** [[CoreEngine]] over an edge DataFrame. */
+/** [[CoreEngine]] over an edge DataFrame with link-strength bound `h`: the
+  * same OTCD schedule driver as the in-memory TEL path (shared pruning
+  * logic), with every TCD operation executed as Spark dataflow over edge
+  * partitions. Intended for graphs whose TEL exceeds one machine's memory
+  * (the paper's own suggestion for billion-edge graphs, §7.2); tests
+  * cross-check `TCQ.run(new DFEngine(df, h), ...)` against OTCD on the TEL.
+  */
 final class DFEngine(edges: DataFrame, h: Int = 1) extends CoreEngine {
   override def initial(ts: Int, te: Int): CoreState =
     new DFState(EdgeOps.project(edges, ts, te).localCheckpoint(true), h)
-}
-
-/** Distributed TCQ: the same OTCD schedule driver as the in-memory TEL path
-  * (shared pruning logic), with every TCD operation executed as Spark
-  * dataflow over edge partitions. Intended for graphs whose TEL exceeds one
-  * machine's memory (the paper's own suggestion for billion-edge graphs,
-  * §7.2); tests cross-check it against OTCD on the TEL.
-  */
-object DistTCQ {
-
-  def run(
-      edges: DataFrame,
-      k: Int,
-      window: Interval,
-      constraints: Constraints = Constraints.none,
-      pruning: Boolean = true): TCQResult =
-    TCQ.run(new DFEngine(edges, constraints.minStrength), k, window, constraints, pruning)
 }

@@ -17,9 +17,10 @@ object DistKCore {
 
   /** Edges of the temporal k-core of `edges` (same schema `u, v, t`). */
   def coreEdges(edges: DataFrame, k: Int, h: Int = 1, maxIterations: Int = 1000): DataFrame = {
+    require(h >= 1, s"link strength h must be >= 1, got $h")
     var cur = {
       val base =
-        if (h <= 1) edges.where(col("u") =!= col("v"))
+        if (h == 1) edges.where(col("u") =!= col("v"))
         else {
           val strong = EdgeOps.pairStrength(edges).where(col("strength") >= h).select("a", "b")
           edges.join(

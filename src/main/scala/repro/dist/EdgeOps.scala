@@ -2,15 +2,15 @@ package repro.dist
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{Interval, TemporalEdge}
+import repro.core.TemporalEdge
 
 /** DataFrame (Catalyst) transformations over temporal edge sets.
   *
   * Schema: `u: long, v: long, t: int` — one row per temporal edge, parallel
   * edges allowed, undirected semantics. These are the dataflow building
-  * blocks of the reproduction: projection `G[ts,te]`, detemporalization,
-  * link strength, distinct-neighbour degrees and the TTI aggregate. Every
-  * operator here is cross-checked against DuckDB SQL by the Oracle tests.
+  * blocks of the reproduction: projection `G[ts,te]`, link strength and
+  * distinct-neighbour degrees. Every operator here is cross-checked against
+  * DuckDB SQL by the Oracle tests.
   */
 object EdgeOps {
 
@@ -32,10 +32,6 @@ object EdgeOps {
       .groupBy("a", "b")
       .agg(count(lit(1)) as "strength")
 
-  /** Detemporalized simple graph: distinct canonical pairs. */
-  def detemporalize(edges: DataFrame): DataFrame =
-    pairStrength(edges).select("a", "b")
-
   /** Distinct-neighbour degree per vertex, counting only neighbours linked
     * by at least `h` parallel edges (h = 1 is the plain degree).
     */
@@ -46,12 +42,6 @@ object EdgeOps {
       .unionAll(pairs.select(col("b") as "vertex"))
       .groupBy("vertex")
       .agg(count(lit(1)) as "degree")
-  }
-
-  /** Tightest time interval of the edge set (Theorem 2: min/max timestamp). */
-  def tti(edges: DataFrame): Option[Interval] = {
-    val row = edges.agg(min(col("t")) as "tmin", max(col("t")) as "tmax").collect()(0)
-    if (row.isNullAt(0)) None else Some(Interval(row.getInt(0), row.getInt(1)))
   }
 
   /** Collects an edge DataFrame back into memory (test/driver use). */

@@ -156,7 +156,7 @@ object Tables {
     val rows = Vector(1, 6, 11, 16).map { id =>
       val q = Datasets.queryById(id)
       val g = Datasets.generate(q.dataset)
-      val res = OTCD.run(g.edges, q.k, q.window)
+      val res = OTCD.run(new TELEngine(g.edges), q.k, q.window)
       val s = res.stats
       Table4Row(id, s.triggersPoR, s.triggersPoU, s.triggersPoL,
         s.prunedPct(s.prunedPoR), s.prunedPct(s.prunedPoU), s.prunedPct(s.prunedPoL),
@@ -224,7 +224,7 @@ object Tables {
   def table6(k: Int = 10): (Table6Result, String) = {
     val g = Datasets.generate(Datasets.youtube.name)
     val window = Interval(1, Datasets.youtube.horizon)
-    val (res, ms) = Timing.time(OTCD.run(g.edges, k, window))
+    val (res, ms) = Timing.time(OTCD.run(new TELEngine(g.edges), k, window))
     val oneDay = res.cores.filter(_.tti.span == 0)
     val rows = oneDay.map(c => Table6Row(c.tti.ts, c.numVertices, c.numEdges))
     val result = Table6Result(res.count, ms, rows)

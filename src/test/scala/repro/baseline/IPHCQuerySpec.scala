@@ -30,7 +30,7 @@ class IPHCQuerySpec extends AnyFunSuite {
       val es = TestGraphs.random(seed * 197 + k, nV = 14, nE = 80, horizon = 10)
       val w = Interval(1, 10)
       val base = runBaseline(es, k, w)
-      val otcd = OTCD.run(es, k, w)
+      val otcd = OTCD.run(new TELEngine(es), k, w)
       val naive = NaiveTCQ.run(es, k, w)
       assert(TestGraphs.keySet(base.cores) == TestGraphs.keySet(naive), s"seed=$seed k=$k base")
       assert(TestGraphs.keySet(otcd.cores) == TestGraphs.keySet(naive), s"seed=$seed k=$k otcd")
@@ -53,7 +53,7 @@ class IPHCQuerySpec extends AnyFunSuite {
       val es = TestGraphs.random(seed * 211, nV = 14, nE = 90, horizon = 10)
       val w = Interval(1, 10)
       val base = runBaseline(es, 2, w).byTTI
-      val otcd = OTCD.run(es, 2, w).byTTI
+      val otcd = OTCD.run(new TELEngine(es), 2, w).byTTI
       assert(base.keySet == otcd.keySet, s"seed=$seed")
       base.foreach { case (tti, c) =>
         assert(c.vertices == otcd(tti).vertices, s"seed=$seed tti=$tti")

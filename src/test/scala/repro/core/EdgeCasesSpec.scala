@@ -9,24 +9,25 @@ class EdgeCasesSpec extends AnyFunSuite {
   private val tri = Vector(TemporalEdge(1, 2, 5), TemporalEdge(2, 3, 5), TemporalEdge(1, 3, 5))
 
   test("single-timestamp window [t,t]") {
-    val res = OTCD.run(tri, 2, Interval(5, 5))
+    val res = OTCD.run(new TELEngine(tri), 2, Interval(5, 5))
     assert(res.count == 1)
     assert(res.cores.head.tti == Interval(5, 5))
     assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(NaiveTCQ.run(tri, 2, Interval(5, 5))))
   }
 
   test("window entirely before the data") {
-    assert(OTCD.run(tri, 2, Interval(1, 3)).count == 0)
-    assert(TCD.run(tri, 2, Interval(1, 3)).count == 0)
+    val engine = new TELEngine(tri)
+    assert(OTCD.run(engine, 2, Interval(1, 3)).count == 0)
+    assert(TCD.run(engine, 2, Interval(1, 3)).count == 0)
   }
 
   test("window entirely after the data") {
-    assert(OTCD.run(tri, 2, Interval(7, 9)).count == 0)
+    assert(OTCD.run(new TELEngine(tri), 2, Interval(7, 9)).count == 0)
   }
 
   test("window partially overlapping the data") {
     val es = tri ++ Vector(TemporalEdge(4, 5, 8), TemporalEdge(5, 6, 8), TemporalEdge(4, 6, 8))
-    val res = OTCD.run(es, 2, Interval(6, 10))
+    val res = OTCD.run(new TELEngine(es), 2, Interval(6, 10))
     assert(res.count == 1)
     assert(res.cores.head.vertices == Set(4L, 5L, 6L))
   }
@@ -34,7 +35,7 @@ class EdgeCasesSpec extends AnyFunSuite {
   test("k=1 returns maximal subgraphs with at least one neighbour") {
     for (seed <- 1 to 4) {
       val es = TestGraphs.random(seed * 281, nV = 10, nE = 30, horizon = 6)
-      val otcd = OTCD.run(es, 1, Interval(1, 6))
+      val otcd = OTCD.run(new TELEngine(es), 1, Interval(1, 6))
       val naive = NaiveTCQ.run(es, 1, Interval(1, 6))
       assert(TestGraphs.keySet(otcd.cores) == TestGraphs.keySet(naive), s"seed=$seed")
     }
@@ -42,26 +43,27 @@ class EdgeCasesSpec extends AnyFunSuite {
 
   test("k larger than any possible degree yields nothing") {
     val es = TestGraphs.random(283, nV = 10, nE = 60, horizon = 6)
-    assert(OTCD.run(es, 50, Interval(1, 6)).count == 0)
+    assert(OTCD.run(new TELEngine(es), 50, Interval(1, 6)).count == 0)
   }
 
   test("k < 1 is rejected at the API boundary with the offending value") {
+    val engine = new TELEngine(tri)
     for (k <- Seq(0, -1)) {
-      val otcd = intercept[IllegalArgumentException](OTCD.run(tri, k, Interval(1, 6)))
+      val otcd = intercept[IllegalArgumentException](OTCD.run(engine, k, Interval(1, 6)))
       assert(otcd.getMessage.contains(s"got $k"))
-      val tcd = intercept[IllegalArgumentException](TCD.run(tri, k, Interval(1, 6)))
+      val tcd = intercept[IllegalArgumentException](TCD.run(engine, k, Interval(1, 6)))
       assert(tcd.getMessage.contains(s"got $k"))
     }
   }
 
   test("empty edge list") {
-    assert(OTCD.run(Vector.empty[TemporalEdge], 2, Interval(1, 5)).count == 0)
+    assert(OTCD.run(new TELEngine(Vector.empty[TemporalEdge]), 2, Interval(1, 5)).count == 0)
     assert(NaiveTCQ.run(Vector.empty[TemporalEdge], 2, Interval(1, 5)).isEmpty)
   }
 
   test("duplicate parallel edges at the same timestamp") {
     val es = tri ++ tri // every edge doubled at t=5
-    val res = OTCD.run(es, 2, Interval(4, 6))
+    val res = OTCD.run(new TELEngine(es), 2, Interval(4, 6))
     assert(res.count == 1)
     assert(res.cores.head.numEdges == 6)
     assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(NaiveTCQ.run(es, 2, Interval(4, 6))))
@@ -70,7 +72,7 @@ class EdgeCasesSpec extends AnyFunSuite {
   test("all edges at window boundaries") {
     val es = Vector(TemporalEdge(1, 2, 1), TemporalEdge(2, 3, 10), TemporalEdge(1, 3, 10),
       TemporalEdge(1, 2, 10))
-    val res = OTCD.run(es, 2, Interval(1, 10))
+    val res = OTCD.run(new TELEngine(es), 2, Interval(1, 10))
     val naive = NaiveTCQ.run(es, 2, Interval(1, 10))
     assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(naive))
   }
@@ -91,13 +93,13 @@ class EdgeCasesSpec extends AnyFunSuite {
 
   test("negative-free: timestamps start at arbitrary offsets") {
     val shifted = tri.map(e => e.copy(t = e.t + 1000))
-    val res = OTCD.run(shifted, 2, Interval(1000, 1010))
+    val res = OTCD.run(new TELEngine(shifted), 2, Interval(1000, 1010))
     assert(res.count == 1)
     assert(res.cores.head.tti == Interval(1005, 1005))
   }
 
   test("TCQ with window length 1 visits exactly one cell") {
-    val res = OTCD.run(tri, 2, Interval(5, 5))
+    val res = OTCD.run(new TELEngine(tri), 2, Interval(5, 5))
     assert(res.stats.totalCells == 1)
     assert(res.stats.cellsVisited == 1)
   }
@@ -105,7 +107,7 @@ class EdgeCasesSpec extends AnyFunSuite {
   test("distinct count via TTI equals distinct count via canonical key (many seeds)") {
     for (seed <- 1 to 12) {
       val es = TestGraphs.random(seed * 293, nV = 12, nE = 80, horizon = 8)
-      val cores = OTCD.run(es, 2, Interval(1, 8)).cores
+      val cores = OTCD.run(new TELEngine(es), 2, Interval(1, 8)).cores
       assert(cores.map(_.tti).distinct.size == cores.map(_.canonicalKey).distinct.size)
     }
   }

@@ -11,8 +11,8 @@ class ExtensionsSpec extends AnyFunSuite {
     val es = TestGraphs.multiEdge
     val w = Interval(1, 6)
     for (h <- 1 to 3) {
-      val otcd = OTCD.run(es, 1, w, Constraints(minStrength = h))
-      val naive = NaiveTCQ.run(es, 1, w, Constraints(minStrength = h))
+      val otcd = OTCD.run(new TELEngine(es, h), 1, w)
+      val naive = NaiveTCQ.run(es, 1, w, h)
       assert(TestGraphs.keySet(otcd.cores) == TestGraphs.keySet(naive), s"h=$h")
     }
   }
@@ -21,9 +21,8 @@ class ExtensionsSpec extends AnyFunSuite {
     for (seed <- 1 to 8; h <- 2 to 3) {
       val es = TestGraphs.random(seed * 149, nV = 8, nE = 120, horizon = 8)
       val w = Interval(1, 8)
-      val c = Constraints(minStrength = h)
-      val otcd = OTCD.run(es, 2, w, c)
-      val naive = NaiveTCQ.run(es, 2, w, c)
+      val otcd = OTCD.run(new TELEngine(es, h), 2, w)
+      val naive = NaiveTCQ.run(es, 2, w, h)
       assert(TestGraphs.keySet(otcd.cores) == TestGraphs.keySet(naive), s"seed=$seed h=$h")
     }
   }
@@ -31,14 +30,14 @@ class ExtensionsSpec extends AnyFunSuite {
   test("link strength: higher h never yields more cores") {
     val es = TestGraphs.random(151, nV = 8, nE = 150, horizon = 8)
     val w = Interval(1, 8)
-    val counts = (1 to 3).map(h => OTCD.run(es, 2, w, Constraints(minStrength = h)).count)
+    val counts = (1 to 3).map(h => OTCD.run(new TELEngine(es, h), 2, w).count)
     counts.sliding(2).foreach { case Seq(a, b) => assert(b <= a) }
   }
 
   test("link strength: every pair in every result core has strength >= h") {
     for (seed <- 1 to 5) {
       val es = TestGraphs.random(seed * 157, nV = 8, nE = 120, horizon = 8)
-      val res = OTCD.run(es, 2, Interval(1, 8), Constraints(minStrength = 2))
+      val res = OTCD.run(new TELEngine(es, h = 2), 2, Interval(1, 8))
       res.cores.foreach { c =>
         c.edges.groupBy(_.pair).foreach { case (_, parallel) =>
           assert(parallel.size >= 2)
@@ -49,9 +48,9 @@ class ExtensionsSpec extends AnyFunSuite {
 
   test("time span constraint filters long-TTI cores (example)") {
     // Example graph distinct TTIs: [1,5],[1,4],[2,5],[1,2],[3,4].
-    val all = OTCD.run(TestGraphs.example, 2, TestGraphs.exampleWindow)
-    val short = OTCD.run(TestGraphs.example, 2, TestGraphs.exampleWindow,
-      Constraints(maxSpan = Some(1)))
+    val engine = new TELEngine(TestGraphs.example)
+    val all = OTCD.run(engine, 2, TestGraphs.exampleWindow)
+    val short = OTCD.run(engine, 2, TestGraphs.exampleWindow, maxSpan = Some(1))
     assert(all.count == 5)
     assert(short.cores.map(_.tti).toSet == Set(Interval(1, 2), Interval(3, 4)))
   }
@@ -60,8 +59,9 @@ class ExtensionsSpec extends AnyFunSuite {
     for (seed <- 1 to 8; span <- Seq(0, 2, 5)) {
       val es = TestGraphs.random(seed * 163, nV = 14, nE = 90, horizon = 10)
       val w = Interval(1, 10)
-      val constrained = OTCD.run(es, 2, w, Constraints(maxSpan = Some(span)))
-      val filtered = OTCD.run(es, 2, w).cores.filter(_.tti.span <= span)
+      val engine = new TELEngine(es)
+      val constrained = OTCD.run(engine, 2, w, maxSpan = Some(span))
+      val filtered = OTCD.run(engine, 2, w).cores.filter(_.tti.span <= span)
       assert(TestGraphs.keySet(constrained.cores) == TestGraphs.keySet(filtered),
         s"seed=$seed span=$span")
     }
@@ -70,9 +70,8 @@ class ExtensionsSpec extends AnyFunSuite {
   test("time span constraint combined with naive oracle") {
     for (seed <- 1 to 6) {
       val es = TestGraphs.random(seed * 167, nV = 14, nE = 90, horizon = 10)
-      val c = Constraints(maxSpan = Some(3))
-      val otcd = OTCD.run(es, 2, Interval(1, 10), c)
-      val naive = NaiveTCQ.run(es, 2, Interval(1, 10), c)
+      val otcd = OTCD.run(new TELEngine(es), 2, Interval(1, 10), maxSpan = Some(3))
+      val naive = NaiveTCQ.run(es, 2, Interval(1, 10), maxSpan = Some(3))
       assert(TestGraphs.keySet(otcd.cores) == TestGraphs.keySet(naive), s"seed=$seed")
     }
   }
@@ -80,9 +79,8 @@ class ExtensionsSpec extends AnyFunSuite {
   test("combined strength + span constraints agree with brute force") {
     for (seed <- 1 to 6) {
       val es = TestGraphs.random(seed * 173, nV = 8, nE = 120, horizon = 8)
-      val c = Constraints(minStrength = 2, maxSpan = Some(4))
-      val otcd = OTCD.run(es, 2, Interval(1, 8), c)
-      val naive = NaiveTCQ.run(es, 2, Interval(1, 8), c)
+      val otcd = OTCD.run(new TELEngine(es, h = 2), 2, Interval(1, 8), maxSpan = Some(4))
+      val naive = NaiveTCQ.run(es, 2, Interval(1, 8), h = 2, maxSpan = Some(4))
       assert(TestGraphs.keySet(otcd.cores) == TestGraphs.keySet(naive), s"seed=$seed")
     }
   }
@@ -94,14 +92,9 @@ class ExtensionsSpec extends AnyFunSuite {
       // Maintain one TEL dynamically...
       val dyn = TEL.fromEdges(old)
       incoming.foreach(e => dyn.addEdge(e.u, e.v, e.t))
-      // ...and query it by copying (the master stays live for more appends).
-      val engine = new CoreEngine {
-        override def initial(ts: Int, te: Int): CoreState = {
-          val t = dyn.copy(); t.truncate(ts, te); new TELState(t)
-        }
-      }
-      val res = TCQ.run(engine, 2, Interval(1, 12))
-      val static = OTCD.run(es, 2, Interval(1, 12))
+      // ...and query it through an engine (the master stays live for more appends).
+      val res = OTCD.run(new TELEngine(dyn), 2, Interval(1, 12))
+      val static = OTCD.run(new TELEngine(es), 2, Interval(1, 12))
       assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(static.cores), s"seed=$seed")
       assert(dyn.numAliveEdges == es.size, s"seed=$seed") // master untouched
     }
@@ -111,15 +104,8 @@ class ExtensionsSpec extends AnyFunSuite {
     val dyn = TEL.empty()
     dyn.addEdge(1, 2, 1)
     dyn.addEdge(2, 3, 2)
-    def query(): Int = {
-      val t = dyn.copy()
-      val engine = new CoreEngine {
-        override def initial(ts: Int, te: Int): CoreState = {
-          val c = t.copy(); c.truncate(ts, te); new TELState(c)
-        }
-      }
-      TCQ.run(engine, 2, Interval(1, 10)).count
-    }
+    val engine = new TELEngine(dyn)
+    def query(): Int = OTCD.run(engine, 2, Interval(1, 10)).count
     assert(query() == 0)
     dyn.addEdge(1, 3, 3) // completes the triangle
     assert(query() == 1)

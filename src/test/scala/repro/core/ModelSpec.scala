@@ -38,20 +38,6 @@ class ModelSpec extends AnyFunSuite {
     assert(Interval(3, 7).length == 5)
   }
 
-  test("Constraints default admits any span") {
-    assert(Constraints.none.admitsSpan(Interval(1, 1000)))
-  }
-
-  test("Constraints maxSpan filters") {
-    val c = Constraints(maxSpan = Some(3))
-    assert(c.admitsSpan(Interval(5, 8)))
-    assert(!c.admitsSpan(Interval(5, 9)))
-  }
-
-  test("Constraints rejects non-positive strength") {
-    intercept[IllegalArgumentException](Constraints(minStrength = 0))
-  }
-
   test("canonicalKey is order-independent") {
     val a = CoreResult(Interval(1, 2), Set(1L, 2L, 3L),
       Vector(TemporalEdge(1, 2, 1), TemporalEdge(3, 2, 2)))

@@ -9,13 +9,13 @@ import org.scalatest.funsuite.AnyFunSuite
 class OTCDSpec extends AnyFunSuite {
 
   test("OTCD on the hand-analyzed example returns the five known cores") {
-    val res = OTCD.run(TestGraphs.example, 2, TestGraphs.exampleWindow)
+    val res = OTCD.run(new TELEngine(TestGraphs.example), 2, TestGraphs.exampleWindow)
     assert(res.count == 5)
     assert(res.cores.map(_.tti).toSet == TestGraphs.exampleDistinctTTIs)
   }
 
   test("OTCD equals naive enumeration on the example") {
-    val res = OTCD.run(TestGraphs.example, 2, TestGraphs.exampleWindow)
+    val res = OTCD.run(new TELEngine(TestGraphs.example), 2, TestGraphs.exampleWindow)
     val naive = NaiveTCQ.run(TestGraphs.example, 2, TestGraphs.exampleWindow)
     assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(naive))
   }
@@ -29,8 +29,9 @@ class OTCDSpec extends AnyFunSuite {
     for (seed <- 1 to 5) {
       val es = TestGraphs.random(seed * 101 + nV + k, nV, nE, horizon)
       val w = Interval(1, horizon)
-      val otcd = OTCD.run(es, k, w)
-      val tcd = TCD.run(es, k, w)
+      val engine = new TELEngine(es)
+      val otcd = OTCD.run(engine, k, w)
+      val tcd = TCD.run(engine, k, w)
       val naive = NaiveTCQ.run(es, k, w)
       assert(TestGraphs.keySet(otcd.cores) == TestGraphs.keySet(naive), s"seed=$seed otcd!=naive")
       assert(TestGraphs.keySet(tcd.cores) == TestGraphs.keySet(naive), s"seed=$seed tcd!=naive")
@@ -42,7 +43,7 @@ class OTCDSpec extends AnyFunSuite {
     // ([3,5] re-induces the 3-4-5 triangle: the PoU trigger at [2,4] only
     // covers columns <= 4); [1,2],[2,3],[3,4],[3,3] are pruned/empty; [4,5]
     // is empty and stops the run.
-    val s = OTCD.run(TestGraphs.example, 2, TestGraphs.exampleWindow).stats
+    val s = OTCD.run(new TELEngine(TestGraphs.example), 2, TestGraphs.exampleWindow).stats
     assert(s.inducedCores == 6)
     assert(s.duplicateCores == 1)
   }
@@ -55,8 +56,9 @@ class OTCDSpec extends AnyFunSuite {
     // redundancy is far below TCD's, not exact-once.
     for (seed <- 1 to 20) {
       val es = TestGraphs.random(seed * 107, nV = 14, nE = 90, horizon = 10)
-      val otcd = OTCD.run(es, 2, Interval(1, 10))
-      val tcd = TCD.run(es, 2, Interval(1, 10))
+      val engine = new TELEngine(es)
+      val otcd = OTCD.run(engine, 2, Interval(1, 10))
+      val tcd = TCD.run(engine, 2, Interval(1, 10))
       assert(otcd.stats.inducedCores == otcd.count + otcd.stats.duplicateCores, s"seed=$seed")
       assert(otcd.stats.duplicateCores <= tcd.stats.duplicateCores, s"seed=$seed")
     }
@@ -69,7 +71,7 @@ class OTCDSpec extends AnyFunSuite {
     // still correct — the distinctness check absorbs the duplicate.
     val a = Vector(TemporalEdge(1, 2, 5), TemporalEdge(2, 3, 5), TemporalEdge(1, 3, 5))
     val b = Vector(TemporalEdge(4, 5, 2), TemporalEdge(5, 6, 10), TemporalEdge(4, 6, 10))
-    val res = OTCD.run(a ++ b, 2, Interval(1, 10))
+    val res = OTCD.run(new TELEngine(a ++ b), 2, Interval(1, 10))
     val naive = NaiveTCQ.run(a ++ b, 2, Interval(1, 10))
     assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(naive))
     assert(res.count == 2) // A alone, and A∪B
@@ -80,8 +82,9 @@ class OTCDSpec extends AnyFunSuite {
     for (seed <- 1 to 10) {
       val es = TestGraphs.random(seed * 109, nV = 14, nE = 90, horizon = 10)
       val w = Interval(1, 10)
-      val otcd = OTCD.run(es, 2, w)
-      val tcd = TCD.run(es, 2, w)
+      val engine = new TELEngine(es)
+      val otcd = OTCD.run(engine, 2, w)
+      val tcd = TCD.run(engine, 2, w)
       assert(otcd.stats.cellsVisited <= tcd.stats.cellsVisited, s"seed=$seed")
     }
   }
@@ -90,7 +93,7 @@ class OTCDSpec extends AnyFunSuite {
     for (seed <- 1 to 6) {
       val es = TestGraphs.random(seed * 113, nV = 14, nE = 100, horizon = 20)
       for (w <- Seq(Interval(3, 9), Interval(5, 17), Interval(10, 20))) {
-        val otcd = OTCD.run(es, 2, w)
+        val otcd = OTCD.run(new TELEngine(es), 2, w)
         val naive = NaiveTCQ.run(es, 2, w)
         assert(TestGraphs.keySet(otcd.cores) == TestGraphs.keySet(naive), s"seed=$seed w=$w")
       }
@@ -101,7 +104,7 @@ class OTCDSpec extends AnyFunSuite {
     for (seed <- 1 to 6) {
       val es = TestGraphs.random(seed * 127, nV = 14, nE = 90, horizon = 10)
       val w = Interval(1, 10)
-      OTCD.run(es, 2, w).cores.foreach { c =>
+      OTCD.run(new TELEngine(es), 2, w).cores.foreach { c =>
         assert(w.contains(c.tti))
         assert(c.tti.ts == c.edges.map(_.t).min)
         assert(c.tti.te == c.edges.map(_.t).max)
@@ -112,7 +115,7 @@ class OTCDSpec extends AnyFunSuite {
   test("every returned core satisfies the degree property") {
     for (seed <- 1 to 6) {
       val es = TestGraphs.random(seed * 131, nV = 16, nE = 100, horizon = 10)
-      for (k <- 2 to 3; c <- OTCD.run(es, k, Interval(1, 10)).cores) {
+      for (k <- 2 to 3; c <- OTCD.run(new TELEngine(es), k, Interval(1, 10)).cores) {
         val adj = KCore.adjacency(c.edges)
         c.vertices.foreach(v => assert(adj(v).size >= k, s"seed=$seed k=$k v=$v"))
       }
@@ -122,27 +125,29 @@ class OTCDSpec extends AnyFunSuite {
   test("empty result on a graph with no k-core") {
     val path = (1L to 6L).sliding(2).zipWithIndex
       .map { case (Seq(a, b), i) => TemporalEdge(a, b, i + 1) }.toVector
-    val res = OTCD.run(path, 2, Interval(1, 5))
+    val res = OTCD.run(new TELEngine(path), 2, Interval(1, 5))
     assert(res.count == 0)
   }
 
   test("result count decreases monotonically with k (paper Fig. 10 shape)") {
     val es = TestGraphs.random(991, nV = 20, nE = 300, horizon = 12)
-    val counts = (2 to 6).map(k => OTCD.run(es, k, Interval(1, 12)).count)
+    val engine = new TELEngine(es)
+    val counts = (2 to 6).map(k => OTCD.run(engine, k, Interval(1, 12)).count)
     counts.sliding(2).foreach { case Seq(a, b) => assert(b <= a) }
   }
 
   test("larger windows yield at least as many distinct cores") {
     val es = TestGraphs.random(997, nV = 20, nE = 200, horizon = 16)
-    val small = OTCD.run(es, 2, Interval(5, 10)).count
-    val large = OTCD.run(es, 2, Interval(1, 16)).count
+    val engine = new TELEngine(es)
+    val small = OTCD.run(engine, 2, Interval(5, 10)).count
+    val large = OTCD.run(engine, 2, Interval(1, 16)).count
     assert(large >= small)
   }
 
   test("pruning statistics are consistent") {
     for (seed <- 1 to 6) {
       val es = TestGraphs.random(seed * 137, nV = 16, nE = 120, horizon = 10)
-      val s = OTCD.run(es, 2, Interval(1, 10)).stats
+      val s = OTCD.run(new TELEngine(es), 2, Interval(1, 10)).stats
       assert(s.prunedTotal + s.cellsVisited <= s.totalCells)
       assert(s.prunedPoR >= 0 && s.prunedPoU >= 0 && s.prunedPoL >= 0)
     }

@@ -90,7 +90,7 @@ class TCDSpec extends AnyFunSuite {
   }
 
   test("TCD algorithm equals naive enumeration (fixed example)") {
-    val res = TCD.run(TestGraphs.example, 2, TestGraphs.exampleWindow)
+    val res = TCD.run(new TELEngine(TestGraphs.example), 2, TestGraphs.exampleWindow)
     val naive = NaiveTCQ.run(TestGraphs.example, 2, TestGraphs.exampleWindow)
     assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(naive))
     assert(res.cores.map(_.tti).toSet == TestGraphs.exampleDistinctTTIs)
@@ -100,7 +100,7 @@ class TCDSpec extends AnyFunSuite {
     for (seed <- 1 to 10; k <- 2 to 3) {
       val es = TestGraphs.random(seed * 37, nV = 14, nE = 80, horizon = 10)
       val w = Interval(1, 10)
-      val res = TCD.run(es, k, w)
+      val res = TCD.run(new TELEngine(es), k, w)
       val naive = NaiveTCQ.run(es, k, w)
       assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(naive), s"seed=$seed k=$k")
     }
@@ -109,7 +109,7 @@ class TCDSpec extends AnyFunSuite {
   test("TCD visits every cell of the schedule (no pruning)") {
     val es = TestGraphs.random(3, nV = 14, nE = 120, horizon = 6)
     val w = Interval(1, 6)
-    val res = TCD.run(es, 1, w)
+    val res = TCD.run(new TELEngine(es), 1, w)
     // k=1 with a dense graph: no early emptiness, all 21 cells visited.
     assert(res.stats.totalCells == 21)
     assert(res.stats.cellsVisited == 21)
@@ -119,15 +119,16 @@ class TCDSpec extends AnyFunSuite {
   test("TCD induces many duplicates; OTCD prunes most of them away") {
     val es = TestGraphs.example
     val w = TestGraphs.exampleWindow
-    val tcd = TCD.run(es, 2, w)
-    val otcd = OTCD.run(es, 2, w)
+    val engine = new TELEngine(es)
+    val tcd = TCD.run(engine, 2, w)
+    val otcd = OTCD.run(engine, 2, w)
     assert(tcd.stats.duplicateCores > otcd.stats.duplicateCores)
     assert(tcd.count == otcd.count)
   }
 
   test("empty window-wide core stops the whole run early") {
     val es = Vector(TemporalEdge(1, 2, 3)) // single edge: never a 2-core
-    val res = TCD.run(es, 2, Interval(1, 8))
+    val res = TCD.run(new TELEngine(es), 2, Interval(1, 8))
     assert(res.count == 0)
     assert(res.stats.cellsVisited == 1) // only [1,8] probed
   }

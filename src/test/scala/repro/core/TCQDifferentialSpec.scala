@@ -1,0 +1,99 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.baseline.{IPHCQuery, PHCIndex}
+
+/** Randomised differential test of the query API: on random temporal
+  * multigraphs and random `(k, h, maxSpan, window)`, OTCD and TCD over a
+  * [[TELEngine]] return exactly the cores of the brute-force [[NaiveTCQ]],
+  * and so does iPHC-Query where it applies (`h = 1`, no `maxSpan`). Appends
+  * to the engine's master between queries (§6.1) must be visible to the
+  * next query.
+  */
+class TCQDifferentialSpec extends AnyFunSuite {
+  import TCQDifferentialSpec.Scenario
+
+  private val nV = 7
+  private val horizon = 8
+
+  private def edge(t: Int): Gen[TemporalEdge] = for {
+    u <- Gen.choose(0, nV - 1)
+    d <- Gen.choose(1, nV - 1)
+  } yield TemporalEdge(u.toLong, ((u + d) % nV).toLong, t)
+
+  /** Windows may lie partly or wholly outside `[1, horizon]`; one in four
+    * is a single timestamp.
+    */
+  private val window: Gen[Interval] = Gen.frequency(
+    3 -> (for {
+      a <- Gen.choose(0, horizon + 2)
+      b <- Gen.choose(a, horizon + 3)
+    } yield Interval(a, b)),
+    1 -> Gen.choose(0, horizon + 1).map(t => Interval(t, t)))
+
+  private val scenario: Gen[Scenario] = for {
+    n <- Gen.choose(0, 60)
+    edges <- Gen.listOfN(n, Gen.choose(1, horizon).flatMap(edge))
+    m <- Gen.choose(0, 8)
+    appends <- Gen.listOfN(m, Gen.choose(horizon + 1, horizon + 3)).map(_.sorted)
+      .flatMap(ts => Gen.sequence[Vector[TemporalEdge], TemporalEdge](ts.map(edge)))
+    k <- Gen.choose(1, 3)
+    h <- Gen.frequency(2 -> 1, 1 -> 2, 1 -> 3)
+    maxSpan <- Gen.frequency(2 -> None, 1 -> Gen.choose(0, horizon).map(Some(_)))
+    w <- window
+  } yield Scenario(edges.toVector, appends, k, h, maxSpan, w)
+
+  /** Shapes the generator must keep producing, counted across all cases. */
+  private var emptyResults, nonEmptyResults, singleTimestamp, baselineChecked = 0
+
+  private def check(engine: TELEngine, edges: Vector[TemporalEdge], s: Scenario, what: String)
+      : Unit = {
+    val expected = TestGraphs.keySet(NaiveTCQ.run(edges, s.k, s.window, s.h, s.maxSpan))
+    val otcd = OTCD.run(engine, s.k, s.window, s.maxSpan)
+    val tcd = TCD.run(engine, s.k, s.window, s.maxSpan)
+    assert(TestGraphs.keySet(otcd.cores) == expected, s"$what: OTCD != naive for $s")
+    assert(TestGraphs.keySet(tcd.cores) == expected, s"$what: TCD != naive for $s")
+    assert(otcd.stats.duplicateCores <= tcd.stats.duplicateCores,
+      s"$what: OTCD duplicates ${otcd.stats.duplicateCores} > TCD ${tcd.stats.duplicateCores}")
+    if (s.h == 1 && s.maxSpan.isEmpty) {
+      val index = PHCIndex.build(edges, s.k, s.window)
+      val base = IPHCQuery.run(edges, index, s.k, s.window)
+      assert(TestGraphs.keySet(base.cores) == expected, s"$what: iPHC-Query != naive for $s")
+      baselineChecked += 1
+    }
+    if (expected.isEmpty) emptyResults += 1 else nonEmptyResults += 1
+  }
+
+  private def run(s: Scenario): Unit = {
+    val engine = new TELEngine(s.edges, s.h)
+    check(engine, s.edges, s, "static")
+    if (s.window.length == 1) singleTimestamp += 1
+    if (s.appends.nonEmpty) {
+      s.appends.foreach(e => engine.master.addEdge(e.u, e.v, e.t))
+      check(engine, s.edges ++ s.appends, s, "after appends")
+    }
+  }
+
+  test("OTCD == TCD == naive (== iPHC-Query at h = 1) on random queries (property)") {
+    val prop = Prop.forAll(scenario) { s => run(s); true }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(result.passed, result.status.toString)
+    assert(emptyResults > 0 && nonEmptyResults > 0 && singleTimestamp > 0 && baselineChecked > 0,
+      s"generator coverage: empty=$emptyResults nonEmpty=$nonEmptyResults " +
+        s"singleTimestamp=$singleTimestamp baseline=$baselineChecked")
+  }
+}
+
+object TCQDifferentialSpec {
+  /** One query: the graph, edges appended to the master after the first
+    * run, and the query parameters.
+    */
+  final case class Scenario(
+      edges: Vector[TemporalEdge],
+      appends: Vector[TemporalEdge],
+      k: Int,
+      h: Int,
+      maxSpan: Option[Int],
+      window: Interval)
+}

@@ -55,6 +55,15 @@ class TELSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](tel(Vector(TemporalEdge(4, 4, 1))))
   }
 
+  test("link strength h < 1 is rejected with the offending value") {
+    for (h <- Seq(0, -1)) {
+      val built = intercept[IllegalArgumentException](tel(TestGraphs.example, h))
+      assert(built.getMessage.contains(s"got $h"))
+      val empty = intercept[IllegalArgumentException](TEL.empty(h))
+      assert(empty.getMessage.contains(s"got $h"))
+    }
+  }
+
   test("addEdge rejects out-of-order timestamps") {
     val t = TEL.empty()
     t.addEdge(1, 2, 5)

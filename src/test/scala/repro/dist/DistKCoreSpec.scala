@@ -55,6 +55,14 @@ class DistKCoreSpec extends SparkSpec {
     }
   }
 
+  test("link strength h < 1 is rejected with the offending value") {
+    val df = EdgeOps.toDF(spark, TestGraphs.example)
+    for (h <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](DistKCore.coreEdges(df, 2, h))
+      assert(e.getMessage.contains(s"got $h"))
+    }
+  }
+
   test("empty input yields empty core") {
     val df = EdgeOps.toDF(spark, Seq.empty)
     assert(DistKCore.coreEdges(df, 2).isEmpty)

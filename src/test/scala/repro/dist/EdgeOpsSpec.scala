@@ -1,7 +1,7 @@
 package repro.dist
 
 import org.apache.spark.sql.functions._
-import repro.core.{Interval, TestGraphs}
+import repro.core.TestGraphs
 import repro.{Oracle, SparkSpec}
 
 /** DataFrame edge transformations, each cross-checked against DuckDB SQL via
@@ -41,15 +41,6 @@ class EdgeOpsSpec extends SparkSpec {
       "edges" -> df)
   }
 
-  test("detemporalize matches DuckDB distinct pairs") {
-    Oracle.assertEquivalent(
-      EdgeOps.detemporalize(df),
-      """SELECT DISTINCT least(CAST(u AS BIGINT), CAST(v AS BIGINT)) AS a,
-        |                greatest(CAST(u AS BIGINT), CAST(v AS BIGINT)) AS b
-        |FROM edges WHERE u <> v""".stripMargin,
-      "edges" -> df)
-  }
-
   test("degrees match DuckDB distinct-neighbour count") {
     Oracle.assertEquivalent(
       EdgeOps.degrees(df),
@@ -85,17 +76,6 @@ class EdgeOpsSpec extends SparkSpec {
     assert(got.size == local.size)
   }
 
-  test("tti matches min/max timestamps") {
-    assert(EdgeOps.tti(df).contains(Interval(edges.map(_.t).min, edges.map(_.t).max)))
-    assert(EdgeOps.tti(EdgeOps.project(df, 7, 12)).contains(
-      Interval(edges.map(_.t).filter(t => t >= 7 && t <= 12).min,
-        edges.map(_.t).filter(t => t >= 7 && t <= 12).max)))
-  }
-
-  test("tti of an empty projection is None") {
-    assert(EdgeOps.tti(EdgeOps.project(df, 100, 200)).isEmpty)
-  }
-
   test("collectEdges round-trips") {
     val back = EdgeOps.collectEdges(df)
     assert(back.sortBy(e => (e.t, e.u, e.v)) == edges.sortBy(e => (e.t, e.u, e.v)))
@@ -106,5 +86,15 @@ class EdgeOpsSpec extends SparkSpec {
       EdgeOps.project(df, 3, 9).agg(count(lit(1)) as "n"),
       "SELECT count(*) AS n FROM edges WHERE CAST(t AS INT) BETWEEN 3 AND 9",
       "edges" -> df)
+  }
+
+  test("oracle catches wrong results") {
+    val e = intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        EdgeOps.project(df, 3, 9).agg((count(lit(1)) + 1) as "n"),
+        "SELECT count(*) AS n FROM edges WHERE CAST(t AS INT) BETWEEN 3 AND 9",
+        "edges" -> df)
+    }
+    assert(e.getMessage.contains("result mismatch"))
   }
 }

@@ -1,6 +1,6 @@
 package repro.dist
 
-import repro.core.{Interval, TEL, TestGraphs}
+import repro.core.{Interval, OTCD, TEL, TELEngine, TestGraphs}
 import repro.SparkSpec
 
 /** DataFrame → TEL construction. */
@@ -46,13 +46,8 @@ class TELBuilderSpec extends SparkSpec {
   test("full pipeline: DataFrame -> TEL -> OTCD equals local OTCD") {
     val es = TestGraphs.random(263, nV = 16, nE = 100, horizon = 10)
     val tel = TELBuilder.fromDataFrame(EdgeOps.toDF(spark, es))
-    val engine = new repro.core.CoreEngine {
-      override def initial(ts: Int, te: Int): repro.core.CoreState = {
-        val t = tel.copy(); t.truncate(ts, te); new repro.core.TELState(t)
-      }
-    }
-    val viaDf = repro.core.TCQ.run(engine, 2, Interval(1, 10))
-    val local = repro.core.OTCD.run(es, 2, Interval(1, 10))
+    val viaDf = OTCD.run(new TELEngine(tel), 2, Interval(1, 10))
+    val local = OTCD.run(new TELEngine(es), 2, Interval(1, 10))
     assert(TestGraphs.keySet(viaDf.cores) == TestGraphs.keySet(local.cores))
   }
 }

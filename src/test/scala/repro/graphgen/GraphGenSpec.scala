@@ -1,7 +1,7 @@
 package repro.graphgen
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Interval, KCore, OTCD}
+import repro.core.{Interval, KCore, OTCD, TELEngine}
 
 /** Tests of the synthetic temporal-graph generator and dataset registry. */
 class GraphGenSpec extends AnyFunSuite {
@@ -105,7 +105,7 @@ class GraphGenSpec extends AnyFunSuite {
   test("all 20 selected queries are valid (return at least one core)") {
     Datasets.selectedQueries.foreach { q =>
       val g = Datasets.generate(q.dataset)
-      val res = OTCD.run(g.edges, q.k, q.window)
+      val res = OTCD.run(new TELEngine(g.edges), q.k, q.window)
       assert(res.count >= 1, s"query ${q.id} on ${q.dataset} ${q.window} k=${q.k} is empty")
     }
   }
@@ -117,7 +117,7 @@ class GraphGenSpec extends AnyFunSuite {
 
   test("youtube-lite contains 10-cores (Table 6 prerequisite)") {
     val g = Datasets.generate("youtube-lite")
-    val res = OTCD.run(g.edges, 10, Interval(1, 60))
+    val res = OTCD.run(new TELEngine(g.edges), 10, Interval(1, 60))
     assert(res.count >= 1)
   }
 }
