@@ -34,18 +34,42 @@ final case class Interval(ts: Int, te: Int) {
   override def toString: String = s"[$ts,$te]"
 }
 
-/** An induced temporal k-core, snapshotted out of a TEL (or any engine).
+/** An induced temporal k-core, as a handle: the TTI and the sizes |V| and |E|
+  * are fixed when the core is made, while `edges` and `vertices` are built on
+  * first read. A TEL snapshot keeps only the core's edge ids over columns it
+  * shares with the TEL (see [[TEL.snapshot]]), so a query that reads only
+  * the TTI and the sizes, as Table 6 does, builds no edge at all.
   *
   * Identity of a core is its edge multiset; `canonicalKey` sorts the edges so
   * equal cores compare equal regardless of induction order. Per Property 2 of
   * the paper the TTI alone is already a unique key among the cores of one TCQ
   * instance — tests validate that empirically against `canonicalKey`.
   */
-final case class CoreResult(tti: Interval, vertices: Set[Long], edges: Vector[TemporalEdge]) {
-  def numVertices: Int = vertices.size
-  def numEdges: Int = edges.size
+final class CoreResult private (
+    val tti: Interval,
+    val numVertices: Int,
+    val numEdges: Int,
+    edgesOf: () => Vector[TemporalEdge],
+    verticesOf: Vector[TemporalEdge] => Set[Long]) {
+  lazy val edges: Vector[TemporalEdge] = edgesOf()
+  lazy val vertices: Set[Long] = verticesOf(edges)
   def canonicalKey: Vector[(Long, Long, Int)] =
     edges.map(e => { val (a, b) = e.pair; (a, b, e.t) }).sorted
+  override def toString: String = s"CoreResult($tti, |V|=$numVertices, |E|=$numEdges)"
+}
+
+object CoreResult {
+  /** A core built eagerly (reference peeling, baseline, Spark engine). */
+  def apply(tti: Interval, vertices: Set[Long], edges: Vector[TemporalEdge]): CoreResult =
+    new CoreResult(tti, vertices.size, edges.size, () => edges, _ => vertices)
+
+  /** A core of `numVertices` vertices and `numEdges` edges that `edges`
+    * builds on first read; its vertices are then those edges' endpoints.
+    */
+  def deferred(tti: Interval, numVertices: Int, numEdges: Int)(
+      edges: () => Vector[TemporalEdge]): CoreResult =
+    new CoreResult(tti, numVertices, numEdges, edges,
+      _.iterator.flatMap(e => Iterator(e.u, e.v)).toSet)
 }
 
 /** The answer to one TCQ instance: all distinct cores, plus run statistics. */

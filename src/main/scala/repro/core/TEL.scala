@@ -84,8 +84,10 @@ private[core] final class LongIntMap(expected: Int) {
   * first `decompose`, so masters and row sources, which never peel, carry
   * none.
   *
-  * Copies cost no hashing. `copy()` is one `System.arraycopy` per array over
-  * the used prefix (dead edges included, so every link stays valid);
+  * Copies cost no hashing. `copy()` is one `System.arraycopy` per mutable
+  * array over the used prefix (dead edges included, so every link stays
+  * valid), and the write-once columns are shared with the source until the
+  * copy's first `addEdge` (copy-on-write);
   * `copyRange(ts, te)` compacts the window's edges, vertices and pairs into
   * fresh ids, so the result is sized by the window, not by the source. The
   * only hash lookups are the external-id and pair dictionaries behind
@@ -133,6 +135,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
   private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
+  // False while the write-once columns (eu, ev, etn, epair, tVals, ext) are
+  // shared with the TEL this one was copied from; the first addEdge copies them.
+  private var ownsColumns = true
 
   // ---------------------------------------------------------------- queries
 
@@ -171,33 +176,49 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   }
 
   /** All alive edges in timeline order. */
-  def edges: Vector[TemporalEdge] = collect(withVertices = false)._1
+  def edges: Vector[TemporalEdge] = slice(aliveIds())()
 
-  /** Snapshot the current graph as a [[CoreResult]] (None when empty). */
-  def snapshot(): Option[CoreResult] = tti.map { i =>
-    val (es, vs) = collect(withVertices = true)
-    CoreResult(i, vs, es)
-  }
-
-  /** Walks the timeline collecting the alive edges and, if asked, their
-    * endpoints: O(|E| alive), however many vertex slots this TEL has.
+  /** Snapshot the current graph as a [[CoreResult]] handle (None when
+    * empty): one timeline walk freezes the alive edge ids, and the sizes are
+    * the O(1) counters. The handle's edges are built from the write-once
+    * columns on first read, so later `truncate`, `decompose` or `addEdge`
+    * calls on this TEL or its copies do not change them.
     */
-  private def collect(withVertices: Boolean): (Vector[TemporalEdge], Set[Long]) = {
-    val es = Vector.newBuilder[TemporalEdge]
-    val vs = Set.newBuilder[Long]
-    val seen = new Array[Boolean](if (withVertices) nVerts else 0)
-    def endpoint(x: Int): Unit = if (!seen(x)) { seen(x) = true; vs += ext(x) }
+  def snapshot(): Option[CoreResult] =
+    tti.map(i => CoreResult.deferred(i, nLive, nAlive)(slice(aliveIds())))
+
+  /** Alive edge ids in timeline order, O(|E| alive). */
+  private def aliveIds(): Array[Int] = {
+    val ids = new Array[Int](nAlive)
+    var n = 0
     var tn = headTn
     while (tn != -1) {
       var e = tlHead(tn)
-      while (e != -1) {
-        es += TemporalEdge(ext(eu(e)), ext(ev(e)), tVals(tn))
-        if (withVertices) { endpoint(eu(e)); endpoint(ev(e)) }
-        e = tlNext(e)
-      }
+      while (e != -1) { ids(n) = e; n += 1; e = tlNext(e) }
       tn = tnNext(tn)
     }
-    (es.result(), vs.result())
+    ids
+  }
+
+  /** Builds the edges `ids` from the write-once columns as they are now.
+    * The builder holds the column arrays, not this TEL: slots below the
+    * current counts are never written again (`append`, `addTimeNode` and
+    * `vertexSlot` write only fresh slots, growth and copy-on-write copy to new
+    * arrays), so it returns the same edges however this TEL changes later.
+    */
+  private def slice(ids: Array[Int]): () => Vector[TemporalEdge] = {
+    val u = eu; val v = ev; val tn = etn; val t = tVals; val x = ext
+    () => {
+      val b = Vector.newBuilder[TemporalEdge]
+      b.sizeHint(ids.length)
+      var i = 0
+      while (i < ids.length) {
+        val e = ids(i)
+        b += TemporalEdge(x(u(e)), x(v(e)), t(tn(e)))
+        i += 1
+      }
+      b.result()
+    }
   }
 
   // ------------------------------------------------------------ construction
@@ -292,6 +313,18 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     while (e < nEdges) { pairIds.getOrPut(pairKey(eu(e), ev(e)), epair(e)); e += 1 }
   }
 
+  /** Copy-on-write: gives a copy private write-once columns before its first
+    * append, so it never writes into an array another instance reads. They
+    * are cut to the used prefix like the copy's other arrays, so the next
+    * append grows them all together.
+    */
+  private def ownColumns(): Unit = if (!ownsColumns) {
+    eu = copyOf(eu, nEdges); ev = copyOf(ev, nEdges)
+    etn = copyOf(etn, nEdges); epair = copyOf(epair, nEdges)
+    tVals = copyOf(tVals, nTimeNodes); ext = copyOf(ext, nVerts)
+    ownsColumns = true
+  }
+
   /** Appends edge `(u, v, t)` of pair `p` in local ids: the tail of TL(t),
     * the heads of SL(u), DL(v) and PL(p), plus strength and degree updates.
     */
@@ -333,6 +366,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     require(tailTn == -1 || t >= tVals(tailTn),
       s"timestamps must be appended in order: $t < ${tVals(tailTn)}")
     dictionaries()
+    ownColumns()
     // New or revived vertices may sit below k without ever crossing it.
     peelK = 0
     val a = vertexSlot(vertexIds, u, u)
@@ -488,24 +522,27 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     t
   }
 
-  /** Deep copy: one array copy per array over the used prefix, O(slots
-    * used) with no hashing. The copy starts without the peel stack and
-    * dictionaries and builds them when first needed.
+  /** Independent copy: one array copy per mutable array over the used
+    * prefix, O(slots used) with no hashing. The write-once columns (edge
+    * endpoints, time nodes, pair slots, timestamps and external ids) are
+    * shared with this TEL until the copy's first `addEdge`. The copy starts
+    * without the peel stack and dictionaries and builds them when first
+    * needed.
     */
   def copy(): TEL = {
     val t = new TEL(h, 0)
-    t.eu = copyOf(eu, nEdges); t.ev = copyOf(ev, nEdges)
-    t.etn = copyOf(etn, nEdges); t.epair = copyOf(epair, nEdges)
+    t.eu = eu; t.ev = ev; t.etn = etn; t.epair = epair
+    t.tVals = tVals; t.ext = ext; t.ownsColumns = false
     t.tlNext = copyOf(tlNext, nEdges); t.tlPrev = copyOf(tlPrev, nEdges)
     t.slNext = copyOf(slNext, nEdges); t.slPrev = copyOf(slPrev, nEdges)
     t.dlNext = copyOf(dlNext, nEdges); t.dlPrev = copyOf(dlPrev, nEdges)
     t.plNext = copyOf(plNext, nEdges); t.plPrev = copyOf(plPrev, nEdges)
     t.nEdges = nEdges; t.nAlive = nAlive
-    t.tVals = copyOf(tVals, nTimeNodes); t.tnNext = copyOf(tnNext, nTimeNodes)
+    t.tnNext = copyOf(tnNext, nTimeNodes)
     t.tnPrev = copyOf(tnPrev, nTimeNodes)
     t.tlHead = copyOf(tlHead, nTimeNodes); t.tlTail = copyOf(tlTail, nTimeNodes)
     t.nTimeNodes = nTimeNodes; t.headTn = headTn; t.tailTn = tailTn
-    t.ext = copyOf(ext, nVerts); t.slHead = copyOf(slHead, nVerts)
+    t.slHead = copyOf(slHead, nVerts)
     t.dlHead = copyOf(dlHead, nVerts); t.degree = copyOf(degree, nVerts)
     t.nVerts = nVerts; t.nLive = nLive
     t.plHead = copyOf(plHead, nPairs); t.strength = copyOf(strength, nPairs)
@@ -517,12 +554,15 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** Bytes held by this TEL's arrays, dictionaries and peel stack (Table 5),
     * counted from their allocated lengths with a 16-byte header per array.
     * Pointers in the paper's TEL correspond to the Int link slots here.
+    * Write-once columns shared between copies count only in the instance
+    * that allocated them, so a copy that has not appended yet counts none.
     */
   def memoryFootprintBytes: Long = {
-    val ints = Seq(eu, ev, etn, epair, tlNext, tlPrev, slNext, slPrev, dlNext, dlPrev, plNext,
-      plPrev, tVals, tnNext, tnPrev, tlHead, tlTail, slHead, dlHead, degree, plHead, strength, purge)
-    ints.map(a => arrayBytes(a.length, 4)).sum + arrayBytes(ext.length, 8) +
-      arrayBytes(pending.length, 1) +
+    val owned = if (ownsColumns) arrayBytes(ext.length, 8) +
+      Seq(eu, ev, etn, epair, tVals).map(a => arrayBytes(a.length, 4)).sum else 0L
+    val ints = Seq(tlNext, tlPrev, slNext, slPrev, dlNext, dlPrev, plNext, plPrev,
+      tnNext, tnPrev, tlHead, tlTail, slHead, dlHead, degree, plHead, strength, purge)
+    owned + ints.map(a => arrayBytes(a.length, 4)).sum + arrayBytes(pending.length, 1) +
       Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes) +
       Option(below).fold(0L)(a => arrayBytes(a.length, 4))
   }

@@ -9,7 +9,9 @@ import repro.baseline.{IPHCQuery, PHCIndex}
   * [[TELEngine]] return exactly the cores of the brute-force [[NaiveTCQ]],
   * and so does iPHC-Query where it applies (`h = 1`, no `maxSpan`). Appends
   * to the engine's master between queries (§6.1) must be visible to the
-  * next query.
+  * next query, and must not change the cores the previous query returned,
+  * which are read only after the appends. Every core's O(1) sizes equal
+  * those of its materialised edges and vertices.
   */
 class TCQDifferentialSpec extends AnyFunSuite {
   import TCQDifferentialSpec.Scenario
@@ -47,11 +49,21 @@ class TCQDifferentialSpec extends AnyFunSuite {
   /** Shapes the generator must keep producing, counted across all cases. */
   private var emptyResults, nonEmptyResults, singleTimestamp, baselineChecked = 0
 
-  private def check(engine: TELEngine, edges: Vector[TemporalEdge], s: Scenario, what: String)
-      : Unit = {
+  private def query(engine: TELEngine, s: Scenario): (TCQResult, TCQResult) =
+    (OTCD.run(engine, s.k, s.window, s.maxSpan), TCD.run(engine, s.k, s.window, s.maxSpan))
+
+  /** Checks one query's answers; reading a core's edges materialises it. */
+  private def check(
+      answers: (TCQResult, TCQResult),
+      edges: Vector[TemporalEdge],
+      s: Scenario,
+      what: String): Unit = {
+    val (otcd, tcd) = answers
     val expected = TestGraphs.keySet(NaiveTCQ.run(edges, s.k, s.window, s.h, s.maxSpan))
-    val otcd = OTCD.run(engine, s.k, s.window, s.maxSpan)
-    val tcd = TCD.run(engine, s.k, s.window, s.maxSpan)
+    for (c <- otcd.cores ++ tcd.cores) {
+      assert(c.numEdges == c.edges.size, s"$what: |E| of ${c.tti} for $s")
+      assert(c.numVertices == c.vertices.size, s"$what: |V| of ${c.tti} for $s")
+    }
     assert(TestGraphs.keySet(otcd.cores) == expected, s"$what: OTCD != naive for $s")
     assert(TestGraphs.keySet(tcd.cores) == expected, s"$what: TCD != naive for $s")
     assert(otcd.stats.duplicateCores <= tcd.stats.duplicateCores,
@@ -67,12 +79,12 @@ class TCQDifferentialSpec extends AnyFunSuite {
 
   private def run(s: Scenario): Unit = {
     val engine = new TELEngine(s.edges, s.h)
-    check(engine, s.edges, s, "static")
+    val first = query(engine, s)
+    // The first answers are materialised only after the appends.
+    s.appends.foreach(e => engine.master.addEdge(e.u, e.v, e.t))
+    check(first, s.edges, s, "static")
     if (s.window.length == 1) singleTimestamp += 1
-    if (s.appends.nonEmpty) {
-      s.appends.foreach(e => engine.master.addEdge(e.u, e.v, e.t))
-      check(engine, s.edges ++ s.appends, s, "after appends")
-    }
+    if (s.appends.nonEmpty) check(query(engine, s), s.edges ++ s.appends, s, "after appends")
   }
 
   test("OTCD == TCD == naive (== iPHC-Query at h = 1) on random queries (property)") {

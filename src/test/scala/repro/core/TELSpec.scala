@@ -311,6 +311,43 @@ class TELSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](TEL.empty().addEdge(Int.MaxValue.toLong + 1, 1, 1))
   }
 
+  test("snapshot handles keep their core through later truncate, decompose and addEdge") {
+    // Source and copy share their write-once columns until each appends a
+    // different edge; every handle is read only at the end.
+    for (seed <- 1 to 12; h <- 1 to 2) {
+      val es = TestGraphs.random(seed, nV = 12, nE = 50, horizon = 8).sortBy(_.t)
+      val source = TEL.empty(h) // grown by appends, so every column has spare slots
+      es.foreach(e => source.addEdge(e.u, e.v, e.t))
+      val copy = source.copy()
+      val extra = TestGraphs.random(seed + 100, nV = 16, nE = 8, horizon = 2)
+        .map(e => e.copy(t = e.t + 8)).sortBy(_.t)
+      // Each handle, with the edges and vertices of its TEL read at the same moment.
+      val taken = Vector.newBuilder[(CoreResult, Vector[TemporalEdge], Set[Long], String)]
+      def takeBoth(step: String): Unit =
+        for ((t, name) <- Seq((source, "source"), (copy, "copy")))
+          t.snapshot().foreach(c => taken += ((c, t.edges, t.vertices.toSet, s"$name $step")))
+      takeBoth("as built")
+      copy.addEdge(extra(0).u, extra(0).v, extra(0).t) // the copy appends first
+      source.addEdge(extra(1).u, extra(1).v, extra(1).t)
+      assert(copy.edges == es :+ extra(0) && source.edges == es :+ extra(1), s"seed=$seed h=$h")
+      takeBoth("after one append each")
+      source.truncate(2, 10); copy.truncate(3, 10)
+      takeBoth("after truncate")
+      source.decompose(2); copy.decompose(3)
+      takeBoth("after decompose")
+      extra.slice(2, 5).foreach(e => source.addEdge(e.u, e.v, e.t))
+      extra.drop(5).foreach(e => copy.addEdge(e.u, e.v, e.t))
+      takeBoth("after more appends")
+      source.tcd(2, 4, 10); copy.tcd(1, 9, 10)
+      for ((c, edges, vertices, what) <- taken.result()) {
+        assert(c.numEdges == edges.size && c.numVertices == vertices.size, s"seed=$seed h=$h $what")
+        assert(c.edges == edges, s"seed=$seed h=$h $what: edges")
+        assert(c.vertices == vertices, s"seed=$seed h=$h $what: vertices")
+        assert(c.tti == Interval(edges.map(_.t).min, edges.map(_.t).max), s"seed=$seed h=$h $what")
+      }
+    }
+  }
+
   test("snapshot vertices equal edge endpoints") {
     val t = tel(TestGraphs.example)
     t.tcd(2, 1, 5)
