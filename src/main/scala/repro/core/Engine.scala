@@ -27,12 +27,20 @@ trait CoreEngine {
   def initial(ts: Int, te: Int): CoreState
 }
 
-/** [[CoreState]] over the paper's TEL. */
+/** [[CoreState]] over the paper's TEL. A state that is copied (TCQ's row
+  * source) is first compacted once fewer than half of its edge slots are
+  * alive, so each copy is an array copy over a mostly-alive prefix. As with
+  * array doubling, a rebuild follows at least as many deletions as it
+  * copies edges, so it costs O(1) amortised per deleted edge.
+  */
 final class TELState(val tel: TEL) extends CoreState {
   override def truncate(ts: Int, te: Int): Unit = tel.truncate(ts, te)
   override def decompose(k: Int): Unit = tel.decompose(k)
   override def snapshot(): Option[CoreResult] = tel.snapshot()
-  override def copyState(): CoreState = new TELState(tel.copy())
+  override def copyState(): CoreState = {
+    if (tel.sparse) tel.compact()
+    new TELState(tel.copy())
+  }
 }
 
 /** [[CoreEngine]] over a master TEL, truncating copies of it per query

@@ -6,10 +6,17 @@ import scala.collection.mutable
   * (Algorithm 2 + Algorithm 3 pruning).
   *
   * For each anchored start time `ts` (a schedule row) the driver maintains a
-  * ''row source'' `G[ts, Te]` by incremental head-truncation of the initial
-  * `G[Ts, Te]`, and induces the row's cores decrementally: the first core of
-  * the row by a TCD operation on a copy of the row source, every subsequent
-  * core by a TCD operation on the previously induced core (Theorem 1).
+  * ''row source'' by incremental head-truncation of the initial `G[Ts, Te]`,
+  * and induces the row's cores decrementally: the first core of the row by
+  * a TCD operation on a copy of the row source, every subsequent core by a
+  * TCD operation on the previously induced core (Theorem 1).
+  *
+  * The row source is kept peeled: before a row copies it, it is decomposed
+  * to the core of `G[ts, Te]`. The k-core is monotone (Lemma 1 with
+  * Theorem 1), so core(G[ts, te]) ⊆ core(G[ts, Te]) and the row's cores are
+  * unchanged, but non-core edges are peeled once per query instead of once
+  * per row. A TEL row source is also compacted once it is sparse (see
+  * [[TELState]]), so each row copies only core edges.
   *
   * With `pruning = true` the TTI of every induced core feeds Algorithm 3,
   * skipping cells predicted to induce duplicates; the driver then visits
@@ -53,7 +60,10 @@ object TCQ {
         while (c >= r && !rowDead) {
           if (!(pruning && sched.isPruned(r, c))) {
             sched.recordVisit()
-            if (working == null) working = rowSource.copyState()
+            if (working == null) {
+              rowSource.decompose(k)
+              working = rowSource.copyState()
+            }
             working.truncate(r, c)
             working.decompose(k)
             working.snapshot() match {

@@ -4,8 +4,8 @@ import java.util.Arrays.copyOf
 
 /** Open-addressing `Long -> Int` dictionary on two primitive arrays (linear
   * probing, Fibonacci hashing, no removal) for non-negative keys. TEL uses it
-  * for the external-id and vertex-pair dictionaries that `addEdge` needs, and
-  * `copyRange` for its window remaps.
+  * for the external-id and vertex-pair dictionaries behind `addEdge`,
+  * `degreeOf` and `strengthOf`.
   */
 private[core] final class LongIntMap(expected: Int) {
   private var keys: Array[Long] = _
@@ -81,18 +81,20 @@ private[core] final class LongIntMap(expected: Int) {
   * Decomposition peels with a fixed `k` instead of the paper's H_v min-heap:
   * a stack holds the vertices whose degree fell below the `k` of the last
   * `decompose`, and a degree change costs O(1). The stack is allocated at the
-  * first `decompose`, so masters and row sources, which never peel, carry
-  * none.
+  * first `decompose`, so masters, which never peel, carry none.
   *
   * Copies cost no hashing. `copy()` is one `System.arraycopy` per mutable
   * array over the used prefix (dead edges included, so every link stays
   * valid), and the write-once columns are shared with the source until the
   * copy's first `addEdge` (copy-on-write);
   * `copyRange(ts, te)` compacts the window's edges, vertices and pairs into
-  * fresh ids, so the result is sized by the window, not by the source. The
-  * only hash lookups are the external-id and pair dictionaries behind
-  * `addEdge`, `degreeOf` and `strengthOf`; a copy rebuilds them from its
-  * arrays the first time one of those is called.
+  * fresh ids through array remaps, so the result is sized by the window, not
+  * by the source. `compact()` does the same to a TEL in place: a TCQ row
+  * source, kept peeled, is compacted once fewer than half of its edge slots
+  * are alive, so every row copies a mostly-alive prefix. The only hash
+  * lookups are the external-id and pair dictionaries behind `addEdge`,
+  * `degreeOf` and `strengthOf`; a copy rebuilds them from its arrays the
+  * first time one of those is called.
   *
   * Instances are single-threaded and mutable. `addEdge` implements the
   * dynamic-graph extension (§6.1): timestamps may only append at the tail of
@@ -203,8 +205,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** Builds the edges `ids` from the write-once columns as they are now.
     * The builder holds the column arrays, not this TEL: slots below the
     * current counts are never written again (`append`, `addTimeNode` and
-    * `vertexSlot` write only fresh slots, growth and copy-on-write copy to new
-    * arrays), so it returns the same edges however this TEL changes later.
+    * `newVertex` write only fresh slots; growth, copy-on-write and `compact()`
+    * move to new arrays), so it returns the same edges however this TEL
+    * changes later.
     */
   private def slice(ids: Array[Int]): () => Vector[TemporalEdge] = {
     val u = eu; val v = ev; val tn = etn; val t = tVals; val x = ext
@@ -250,34 +253,40 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     tn
   }
 
-  /** The local vertex `dict` maps `key` to; a fresh one, for external id
-    * `id`, if there is none.
-    */
-  private def vertexSlot(dict: LongIntMap, key: Long, id: Long): Int = {
-    val x = dict.getOrPut(key, nVerts)
-    if (x == nVerts) {
-      if (nVerts == ext.length) {
-        val cap = math.max(16, ext.length * 2)
-        ext = copyOf(ext, cap); slHead = copyOf(slHead, cap); dlHead = copyOf(dlHead, cap)
-        degree = copyOf(degree, cap)
-      }
-      nVerts += 1
-      ext(x) = id; slHead(x) = -1; dlHead(x) = -1; degree(x) = 0
+  /** The local vertex of external id `id`; a fresh one if there is none. */
+  private def vertexSlot(id: Long): Int = {
+    val x = vertexIds.getOrPut(id, nVerts)
+    if (x == nVerts) newVertex(id) else x
+  }
+
+  /** The pair slot of local vertices `a` and `b`; a fresh one if there is none. */
+  private def pairSlot(a: Int, b: Int): Int = {
+    val p = pairIds.getOrPut(pairKey(a, b), nPairs)
+    if (p == nPairs) newPair() else p
+  }
+
+  /** Allocates local vertex `nVerts`, with external id `id`, and returns it. */
+  private def newVertex(id: Long): Int = {
+    if (nVerts == ext.length) {
+      val cap = math.max(16, ext.length * 2)
+      ext = copyOf(ext, cap); slHead = copyOf(slHead, cap); dlHead = copyOf(dlHead, cap)
+      degree = copyOf(degree, cap)
     }
+    val x = nVerts
+    nVerts += 1
+    ext(x) = id; slHead(x) = -1; dlHead(x) = -1; degree(x) = 0
     x
   }
 
-  /** The pair slot `dict` maps `key` to; a fresh one if there is none. */
-  private def pairSlot(dict: LongIntMap, key: Long): Int = {
-    val p = dict.getOrPut(key, nPairs)
-    if (p == nPairs) {
-      if (nPairs == plHead.length) {
-        val cap = math.max(16, plHead.length * 2)
-        plHead = copyOf(plHead, cap); strength = copyOf(strength, cap); pending = copyOf(pending, cap)
-      }
-      nPairs += 1
-      plHead(p) = -1; strength(p) = 0; pending(p) = false
+  /** Allocates pair slot `nPairs`, with no edges, and returns it. */
+  private def newPair(): Int = {
+    if (nPairs == plHead.length) {
+      val cap = math.max(16, plHead.length * 2)
+      plHead = copyOf(plHead, cap); strength = copyOf(strength, cap); pending = copyOf(pending, cap)
     }
+    val p = nPairs
+    nPairs += 1
+    plHead(p) = -1; strength(p) = 0; pending(p) = false
     p
   }
 
@@ -369,9 +378,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     ownColumns()
     // New or revived vertices may sit below k without ever crossing it.
     peelK = 0
-    val a = vertexSlot(vertexIds, u, u)
-    val b = vertexSlot(vertexIds, v, v)
-    append(a, b, pairSlot(pairIds, pairKey(a, b)), t)
+    val a = vertexSlot(u)
+    val b = vertexSlot(v)
+    append(a, b, pairSlot(a, b), t)
   }
 
   // -------------------------------------------------------------- deletion
@@ -492,8 +501,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** Fresh TEL holding only the alive edges with timestamps in `[ts, te]` —
     * the paper's "copy of TEL(G[Ts,Te]) obtained by truncating TEL(G)"
     * (§5.2) without mutating the source. Edges, vertices and pairs of the
-    * window get fresh dense ids through two window-sized remaps, so the cost
-    * is O(|E_[ts,te]|) plus a pointer walk over the timeline prefix.
+    * window get fresh dense ids through two `Int` remaps indexed by this
+    * TEL's vertex and pair ids, so the cost is O(|E_[ts,te]|) plus one pass
+    * over the remaps and a pointer walk over the timeline prefix.
     */
   def copyRange(ts: Int, te: Int): TEL = {
     var first = headTn
@@ -506,21 +516,59 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
       tn = tnNext(tn)
     }
     val t = new TEL(h, m)
-    val vertexOf = new LongIntMap(m) // local vertex here -> local vertex in t
-    val pairOf = new LongIntMap(m)   // pair here -> pair in t
+    val vertexOf = new Array[Int](nVerts) // local vertex here -> local vertex in t, or -1
+    val pairOf = new Array[Int](nPairs)   // pair here -> pair in t, or -1
+    java.util.Arrays.fill(vertexOf, -1)
+    java.util.Arrays.fill(pairOf, -1)
+    def vertex(x: Int): Int = {
+      if (vertexOf(x) < 0) vertexOf(x) = t.newVertex(ext(x))
+      vertexOf(x)
+    }
     tn = first
     while (tn != -1 && tVals(tn) <= te) {
       var e = tlHead(tn)
       while (e != -1) {
-        val a = t.vertexSlot(vertexOf, eu(e), ext(eu(e)))
-        val b = t.vertexSlot(vertexOf, ev(e), ext(ev(e)))
-        t.append(a, b, t.pairSlot(pairOf, epair(e)), tVals(tn))
+        val a = vertex(eu(e))
+        val b = vertex(ev(e))
+        val p = epair(e)
+        if (pairOf(p) < 0) pairOf(p) = t.newPair()
+        t.append(a, b, pairOf(p), tVals(tn))
         e = tlNext(e)
       }
       tn = tnNext(tn)
     }
     t
   }
+
+  /** Rebuilds this TEL in place over fresh dense ids, as `copyRange` over its
+    * whole timeline would: afterwards its edge slots are exactly its alive
+    * edges, in the same timeline order. The graph and any pending §6.2
+    * purges are unchanged. The peel state and dictionaries are dropped, as
+    * they name the old ids; the next `decompose` rescans the degrees. Handles
+    * from earlier snapshots keep the old columns, which are never written
+    * again.
+    */
+  private[core] def compact(): Unit = {
+    val t = copyRange(Int.MinValue, Int.MaxValue)
+    eu = t.eu; ev = t.ev; etn = t.etn; epair = t.epair
+    tlNext = t.tlNext; tlPrev = t.tlPrev; slNext = t.slNext; slPrev = t.slPrev
+    dlNext = t.dlNext; dlPrev = t.dlPrev; plNext = t.plNext; plPrev = t.plPrev
+    nEdges = t.nEdges; nAlive = t.nAlive
+    tVals = t.tVals; tnNext = t.tnNext; tnPrev = t.tnPrev; tlHead = t.tlHead; tlTail = t.tlTail
+    nTimeNodes = t.nTimeNodes; headTn = t.headTn; tailTn = t.tailTn
+    ext = t.ext; slHead = t.slHead; dlHead = t.dlHead; degree = t.degree
+    nVerts = t.nVerts; nLive = t.nLive
+    plHead = t.plHead; strength = t.strength; pending = t.pending; nPairs = t.nPairs
+    purge = t.purge; nPurge = t.nPurge
+    peelK = 0; nBelow = 0
+    vertexIds = null; pairIds = null
+    ownsColumns = true
+  }
+
+  /** True once fewer than half of the edge slots hold alive edges: the point
+    * at which the row source's copies are better served by a `compact()`.
+    */
+  private[core] def sparse: Boolean = 2 * nAlive < nEdges
 
   /** Independent copy: one array copy per mutable array over the used
     * prefix, O(slots used) with no hashing. The write-once columns (edge

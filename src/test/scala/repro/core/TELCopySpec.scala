@@ -3,9 +3,11 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Differential tests for `TEL.copy` / `copyRange`: a copy, and the source it
-  * was taken from, must both behave exactly like a TEL built from scratch
-  * over the edges they hold, through later appends and TCD operations.
+/** Differential tests for `TEL.copy` / `copyRange` / `compact`: a copy, and
+  * the source it was taken from, must both behave exactly like a TEL built
+  * from scratch over the edges they hold, through later appends and TCD
+  * operations. A compacted source must also behave exactly like one that
+  * went through the same truncations and decompositions uncompacted.
   */
 class TELCopySpec extends AnyFunSuite {
   import TELCopySpec.Scenario
@@ -29,6 +31,7 @@ class TELCopySpec extends AnyFunSuite {
     edges <- Gen.listOfN(n, Gen.choose(1, horizon).flatMap(edge))
     truncateTo <- Gen.option(window)
     decomposeK <- Gen.option(Gen.choose(1, 3))
+    compaction <- Gen.oneOf(Gen.const(None), Gen.option(window).map(Some(_)))
     range <- Gen.option(window)
     m <- Gen.choose(0, 12)
     gaps <- Gen.listOfN(m, Gen.choose(0, 1)) // 0 = same timestamp as the previous append
@@ -36,7 +39,12 @@ class TELCopySpec extends AnyFunSuite {
       gaps.scanLeft(horizon + 1)(_ + _).tail.map(edge))
     k <- Gen.choose(1, 3)
     w <- window
-  } yield Scenario(h, edges.toVector, truncateTo, decomposeK, range, appends, k, w)
+  } yield Scenario(h, edges.toVector, truncateTo, decomposeK, compaction, range, appends, k, w)
+
+  /** Compactions counted across all cases: of a source with fewer than half
+    * of its edge slots alive, and of one with §6.2 purges still pending.
+    */
+  private var sparseCompactions, pendingCompactions = 0
 
   /** Every observable the TEL offers, compared with a from-scratch TEL. */
   private def sameAs(got: TEL, exp: TEL, what: String): Unit = {
@@ -55,8 +63,20 @@ class TELCopySpec extends AnyFunSuite {
 
   private def run(s: Scenario): Unit = {
     val source = TEL.fromEdges(s.edges, s.h)
-    s.truncateTo.foreach { case (a, b) => source.truncate(a, b) }
-    s.decomposeK.foreach(source.decompose)
+    val plain = TEL.fromEdges(s.edges, s.h) // the same operations, never compacted
+    def both(op: TEL => Unit): Unit = { op(source); op(plain) }
+    s.truncateTo.foreach { case (a, b) => both(_.truncate(a, b)) }
+    s.decomposeK.foreach(k => both(_.decompose(k)))
+    s.compaction.foreach { retruncate =>
+      // A truncation after a decompose leaves the vertices that fell below k
+      // on the peel stack, under ids that compaction renumbers.
+      retruncate.foreach { case (a, b) => both(_.truncate(a, b)) }
+      if (source.sparse) sparseCompactions += 1
+      source.compact()
+      sameAs(source, TEL.fromEdges(plain.edges, s.h), "compacted source")
+      s.decomposeK.foreach(k => both(_.decompose(k)))
+      sameAs(source, plain, "compacted source after decompose")
+    }
     val before = source.edges
     val copy = s.range.fold(source.copy()) { case (a, b) => source.copyRange(a, b) }
     val copied = s.range.fold(before) { case (a, b) => before.filter(e => e.t >= a && e.t <= b) }
@@ -66,6 +86,13 @@ class TELCopySpec extends AnyFunSuite {
     s.appends.foreach { e =>
       source.addEdge(e.u, e.v, e.t)
       copy.addEdge(e.u, e.v, e.t)
+    }
+    // Appends leave pairs below h pending (§6.2) until the next truncate or
+    // decompose; compaction must carry them over.
+    if (s.compaction.isDefined) {
+      if (s.h > 1 && (before ++ s.appends).groupBy(e => TemporalEdge.pairKey(e.u, e.v))
+          .exists(_._2.size < s.h)) pendingCompactions += 1
+      source.compact()
     }
     val expSource = TEL.fromEdges(before ++ s.appends, s.h)
     val expCopy = TEL.fromEdges(copied ++ s.appends, s.h)
@@ -87,8 +114,10 @@ class TELCopySpec extends AnyFunSuite {
 
   test("copy and copyRange match a TEL built from the alive edges (property)") {
     val prop = Prop.forAll(scenario) { s => run(s); true }
-    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(400), prop)
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(800), prop)
     assert(result.passed, result.status.toString)
+    assert(sparseCompactions > 0 && pendingCompactions > 0,
+      s"generator coverage: sparse=$sparseCompactions pending=$pendingCompactions")
   }
 
   test("copy keeps the link-strength purges pending in its source") {
@@ -111,13 +140,17 @@ class TELCopySpec extends AnyFunSuite {
 object TELCopySpec {
   /** One scenario: a random multigraph, what happens to the source before
     * the copy, which copy is taken, the appends that follow, and the TCD
-    * operation that ends it.
+    * operation that ends it. `compaction`, when present, compacts the source
+    * twice: after its truncation and decomposition (first truncated again to
+    * the inner window if one is given, then decomposed again afterwards), and
+    * after the appends.
     */
   final case class Scenario(
       h: Int,
       edges: Vector[TemporalEdge],
       truncateTo: Option[(Int, Int)],
       decomposeK: Option[Int],
+      compaction: Option[Option[(Int, Int)]],
       range: Option[(Int, Int)],
       appends: Vector[TemporalEdge],
       k: Int,
