@@ -38,9 +38,16 @@ object IPHCQuery {
     while (ts <= Te) {
       val coreTimes = index.coreTimes(ts)
       if (coreTimes.nonEmpty) {
-        // H_v: vertices ordered by core time (line 3).
-        val hv = new LongMinHeap(coreTimes.size + 1)
-        coreTimes.foreach { case (v, ct) => hv.push((ct.toLong << 32) | v) }
+        // H_v: vertices ordered by core time (line 3), keyed by their index
+        // in `anchored` so that any Long vertex id fits the key.
+        val anchored = new Array[Long](coreTimes.size)
+        val hv = new LongMinHeap(anchored.length + 1)
+        var x = 0
+        coreTimes.foreach { case (v, ct) =>
+          anchored(x) = v
+          hv.push((ct.toLong << 32) | x)
+          x += 1
+        }
         // H_e: edges with timestamps in [ts, Te] ordered by timestamp (line 4).
         val he = new LongMinHeap(winEdges.length + 1)
         var i = 0
@@ -57,8 +64,7 @@ object IPHCQuery {
         while (te <= Te) {
           // line 6: pop vertices whose core time is within te
           while (hv.nonEmpty && (hv.peek >>> 32).toInt <= te) {
-            val v = hv.pop() & 0xFFFFFFFFL
-            vSet(v) = true
+            vSet(anchored((hv.pop() & 0xFFFFFFFFL).toInt)) = true
           }
           // lines 7-8: pop edges with timestamp within te; keep those whose
           // endpoints are both in V, push the rest back

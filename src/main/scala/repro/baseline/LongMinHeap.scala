@@ -3,8 +3,8 @@ package repro.baseline
 import java.util.Arrays.copyOf
 
 /** A minimal long-keyed binary min-heap. iPHC-Query ([[IPHCQuery]]) keeps
-  * its two heaps in it: H_v over packed `(core time, vertex)` keys and H_e
-  * over packed `(timestamp, edge)` keys (Algorithm 1, §2.3.2).
+  * its two heaps in it: H_v over packed `(core time, vertex index)` keys and
+  * H_e over packed `(timestamp, edge)` keys (Algorithm 1, §2.3.2).
   */
 private[baseline] final class LongMinHeap(initialCapacity: Int) {
   private var arr = new Array[Long](math.max(4, initialCapacity))

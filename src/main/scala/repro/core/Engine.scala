@@ -28,18 +28,24 @@ trait CoreEngine {
 }
 
 /** [[CoreState]] over the paper's TEL. A state that is copied (TCQ's row
-  * source) is first compacted once fewer than half of its edge slots are
-  * alive, so each copy is an array copy over a mostly-alive prefix. As with
-  * array doubling, a rebuild follows at least as many deletions as it
-  * copies edges, so it costs O(1) amortised per deleted edge.
+  * source) first replaces its TEL by a `copyRange` over the whole timeline
+  * once fewer than half of its edge slots are alive, so each copy is an
+  * array copy over a mostly-alive prefix. As with array doubling, a rebuild
+  * follows at least as many deletions as it copies edges, so it costs O(1)
+  * amortised per deleted edge.
   */
-final class TELState(val tel: TEL) extends CoreState {
-  override def truncate(ts: Int, te: Int): Unit = tel.truncate(ts, te)
-  override def decompose(k: Int): Unit = tel.decompose(k)
-  override def snapshot(): Option[CoreResult] = tel.snapshot()
+final class TELState(initial: TEL) extends CoreState {
+  private var current = initial
+
+  /** The TEL this state holds now. */
+  def tel: TEL = current
+
+  override def truncate(ts: Int, te: Int): Unit = current.truncate(ts, te)
+  override def decompose(k: Int): Unit = current.decompose(k)
+  override def snapshot(): Option[CoreResult] = current.snapshot()
   override def copyState(): CoreState = {
-    if (tel.sparse) tel.compact()
-    new TELState(tel.copy())
+    if (current.sparse) current = current.copyRange(Int.MinValue, Int.MaxValue)
+    new TELState(current.copy())
   }
 }
 

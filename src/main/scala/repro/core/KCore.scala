@@ -30,8 +30,13 @@ object KCore {
     * honouring link strength `h` (pairs with fewer than `h` parallel edges
     * are dropped before peeling, matching the modified TCD of §6.2).
     */
-  def coreVertices(edges: Iterable[TemporalEdge], k: Int, h: Int = 1): Set[Long] = {
-    val adj = adjacency(edges)
+  def coreVertices(edges: Iterable[TemporalEdge], k: Int, h: Int = 1): Set[Long] =
+    peel(adjacency(edges), k, h)
+
+  /** Vertices of `adj` left after peeling every vertex with fewer than `k`
+    * neighbours of multiplicity >= `h`.
+    */
+  private def peel(adj: mutable.LongMap[mutable.LongMap[Int]], k: Int, h: Int): Set[Long] = {
     // Degree = number of neighbours with multiplicity >= h.
     val deg = mutable.LongMap.empty[Int]
     adj.foreach { case (v, nbrs) => deg(v) = nbrs.count(_._2 >= h) }
@@ -53,73 +58,21 @@ object KCore {
 
   /** The temporal k-core of `edges` as a [[CoreResult]], or None if empty.
     *
-    * The core is the subgraph induced on [[coreVertices]]: all temporal edges
-    * whose endpoints both survive peeling and whose pair strength is >= h.
+    * The core is the subgraph induced on the peeled vertices: all temporal
+    * edges whose endpoints both survive peeling and whose pair strength, the
+    * pair's multiplicity in the adjacency, is >= h.
     */
   def core(edges: Iterable[TemporalEdge], k: Int, h: Int = 1): Option[CoreResult] = {
-    val verts = coreVertices(edges, k, h)
-    if (verts.isEmpty) None
-    else {
-      val strength = mutable.LongMap.empty[Int]
-      edges.foreach { e =>
-        if (e.u != e.v && verts(e.u) && verts(e.v)) {
-          val key = TemporalEdge.pairKey(e.u, e.v)
-          strength(key) = strength.getOrElse(key, 0) + 1
-        }
-      }
-      val kept = edges.iterator.filter { e =>
-        e.u != e.v && verts(e.u) && verts(e.v) &&
-          strength(TemporalEdge.pairKey(e.u, e.v)) >= h
-      }.toVector
-      if (kept.isEmpty) None
-      else {
-        val tmin = kept.iterator.map(_.t).min
-        val tmax = kept.iterator.map(_.t).max
-        Some(CoreResult(Interval(tmin, tmax), verts, kept))
-      }
-    }
-  }
-
-  /** Coreness of every vertex (Batagelj–Zaversnik by repeated peeling).
-    *
-    * Used by the PHC-Index builder and in tests; `h` is fixed at 1 because
-    * PHC semantics (the paper's baseline) have no strength constraint.
-    */
-  def coreness(edges: Iterable[TemporalEdge]): Map[Long, Int] = {
     val adj = adjacency(edges)
-    if (adj.isEmpty) return Map.empty
-    val deg = mutable.LongMap.empty[Int]
-    adj.foreach { case (v, nbrs) => deg(v) = nbrs.size }
-    val result = mutable.LongMap.empty[Int]
-    // Bucket peeling over degrees.
-    val maxDeg = deg.values.max
-    val buckets = Array.fill(maxDeg + 1)(mutable.LongMap.empty[Boolean])
-    deg.foreach { case (v, d) => buckets(d)(v) = true }
-    val removed = mutable.LongMap.empty[Boolean]
-    var k = 0
-    var processed = 0
-    val n = deg.size
-    while (processed < n) {
-      var d = 0
-      while (d <= maxDeg && buckets(d).isEmpty) d += 1
-      if (d > k) k = d
-      // There is always a non-empty bucket while processed < n.
-      val v = buckets(d).head._1
-      buckets(d).remove(v)
-      removed(v) = true
-      result(v) = k
-      processed += 1
-      adj(v).foreach { case (w, _) =>
-        if (!removed.getOrElse(w, false)) {
-          val dw = deg(w)
-          if (dw > d) {
-            buckets(dw).remove(w)
-            deg(w) = dw - 1
-            buckets(dw - 1)(w) = true
-          }
-        }
-      }
+    val verts = peel(adj, k, h)
+    val kept = edges.iterator.filter { e =>
+      e.u != e.v && verts(e.u) && verts(e.v) && adj(e.u)(e.v) >= h
+    }.toVector
+    if (kept.isEmpty) None
+    else {
+      val tmin = kept.iterator.map(_.t).min
+      val tmax = kept.iterator.map(_.t).max
+      Some(CoreResult(Interval(tmin, tmax), verts, kept))
     }
-    result.toMap
   }
 }

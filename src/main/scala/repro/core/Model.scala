@@ -4,12 +4,7 @@ package repro.core
   *
   * Orientation (`u` as source, `v` as destination) is preserved because the
   * paper's TEL keeps separate Source Lists and Destination Lists, but all
-  * degree semantics are undirected. Vertex ids must fit in 31 bits so that a
-  * vertex pair packs into one `Long` with [[TemporalEdge.pairKey]]
-  * (guaranteed by the generators). The TEL itself works on dense local ids,
-  * but the reference peeling in `KCore` still keys pairs by `pairKey` on
-  * external ids and the iPHC-Query baseline packs them into the low 32 bits
-  * of its heap keys, so `TEL.addEdge` keeps rejecting larger ids.
+  * degree semantics are undirected.
   */
 final case class TemporalEdge(u: Long, v: Long, t: Int) {
   /** Canonical undirected endpoint pair (smaller id first). */
@@ -17,7 +12,9 @@ final case class TemporalEdge(u: Long, v: Long, t: Int) {
 }
 
 object TemporalEdge {
-  /** Packs the canonical pair of `(u, v)` into a single Long key. */
+  /** Packs the canonical pair of `(u, v)` into a single Long key. The key is
+    * unique only for ids below 2^31, such as the TEL's dense local ids.
+    */
   def pairKey(u: Long, v: Long): Long = {
     val lo = math.min(u, v)
     val hi = math.max(u, v)

@@ -15,8 +15,8 @@ import scala.collection.mutable
   * to the core of `G[ts, Te]`. The k-core is monotone (Lemma 1 with
   * Theorem 1), so core(G[ts, te]) ⊆ core(G[ts, Te]) and the row's cores are
   * unchanged, but non-core edges are peeled once per query instead of once
-  * per row. A TEL row source is also compacted once it is sparse (see
-  * [[TELState]]), so each row copies only core edges.
+  * per row. A TEL row source is also rebuilt over fresh ids once it is
+  * sparse (see [[TELState]]), so each row copies only core edges.
   *
   * With `pruning = true` the TTI of every induced core feeds Algorithm 3,
   * skipping cells predicted to induce duplicates; the driver then visits

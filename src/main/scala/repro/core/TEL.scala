@@ -89,12 +89,12 @@ private[core] final class LongIntMap(expected: Int) {
   * copy's first `addEdge` (copy-on-write);
   * `copyRange(ts, te)` compacts the window's edges, vertices and pairs into
   * fresh ids through array remaps, so the result is sized by the window, not
-  * by the source. `compact()` does the same to a TEL in place: a TCQ row
-  * source, kept peeled, is compacted once fewer than half of its edge slots
-  * are alive, so every row copies a mostly-alive prefix. The only hash
-  * lookups are the external-id and pair dictionaries behind `addEdge`,
-  * `degreeOf` and `strengthOf`; a copy rebuilds them from its arrays the
-  * first time one of those is called.
+  * by the source. Over the whole timeline it rebuilds a TEL compactly: a TCQ
+  * row source, kept peeled, is replaced by such a rebuild once fewer than half
+  * of its edge slots are alive, so every row copies a mostly-alive prefix.
+  * The only hash lookups are the external-id and pair dictionaries behind
+  * `addEdge`, `degreeOf` and `strengthOf`; a copy rebuilds them from its
+  * arrays the first time one of those is called.
   *
   * Instances are single-threaded and mutable. `addEdge` implements the
   * dynamic-graph extension (§6.1): timestamps may only append at the tail of
@@ -205,9 +205,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** Builds the edges `ids` from the write-once columns as they are now.
     * The builder holds the column arrays, not this TEL: slots below the
     * current counts are never written again (`append`, `addTimeNode` and
-    * `newVertex` write only fresh slots; growth, copy-on-write and `compact()`
-    * move to new arrays), so it returns the same edges however this TEL
-    * changes later.
+    * `newVertex` write only fresh slots; growth and copy-on-write move to new
+    * arrays), so it returns the same edges however this TEL changes later.
     */
   private def slice(ids: Array[Int]): () => Vector[TemporalEdge] = {
     val u = eu; val v = ev; val tn = etn; val t = tVals; val x = ext
@@ -365,13 +364,13 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     else if (c == h) pending(p) = false
   }
 
-  /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`, ids in
-    * `[0, 2^31)`, and `t` no earlier than the current maximum timestamp.
+  /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`,
+    * non-negative ids (the id dictionary keeps -1 as its empty key), and `t`
+    * no earlier than the current maximum timestamp.
     */
   def addEdge(u: Long, v: Long, t: Int): Unit = {
     require(u != v, s"self-loop ($u,$v,$t) not allowed")
-    require(u >= 0 && v >= 0 && u < Int.MaxValue && v < Int.MaxValue,
-      "vertex ids must fit in 31 bits")
+    require(u >= 0 && v >= 0, s"vertex ids must be non-negative, got ($u,$v)")
     require(tailTn == -1 || t >= tVals(tailTn),
       s"timestamps must be appended in order: $t < ${tVals(tailTn)}")
     dictionaries()
@@ -540,33 +539,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     t
   }
 
-  /** Rebuilds this TEL in place over fresh dense ids, as `copyRange` over its
-    * whole timeline would: afterwards its edge slots are exactly its alive
-    * edges, in the same timeline order. The graph and any pending §6.2
-    * purges are unchanged. The peel state and dictionaries are dropped, as
-    * they name the old ids; the next `decompose` rescans the degrees. Handles
-    * from earlier snapshots keep the old columns, which are never written
-    * again.
-    */
-  private[core] def compact(): Unit = {
-    val t = copyRange(Int.MinValue, Int.MaxValue)
-    eu = t.eu; ev = t.ev; etn = t.etn; epair = t.epair
-    tlNext = t.tlNext; tlPrev = t.tlPrev; slNext = t.slNext; slPrev = t.slPrev
-    dlNext = t.dlNext; dlPrev = t.dlPrev; plNext = t.plNext; plPrev = t.plPrev
-    nEdges = t.nEdges; nAlive = t.nAlive
-    tVals = t.tVals; tnNext = t.tnNext; tnPrev = t.tnPrev; tlHead = t.tlHead; tlTail = t.tlTail
-    nTimeNodes = t.nTimeNodes; headTn = t.headTn; tailTn = t.tailTn
-    ext = t.ext; slHead = t.slHead; dlHead = t.dlHead; degree = t.degree
-    nVerts = t.nVerts; nLive = t.nLive
-    plHead = t.plHead; strength = t.strength; pending = t.pending; nPairs = t.nPairs
-    purge = t.purge; nPurge = t.nPurge
-    peelK = 0; nBelow = 0
-    vertexIds = null; pairIds = null
-    ownsColumns = true
-  }
-
   /** True once fewer than half of the edge slots hold alive edges: the point
-    * at which the row source's copies are better served by a `compact()`.
+    * at which the row source's copies are better served by a TEL rebuilt with
+    * `copyRange` over the whole timeline.
     */
   private[core] def sparse: Boolean = 2 * nAlive < nEdges
 

@@ -15,8 +15,11 @@ import org.apache.spark.sql.functions._
   */
 object DistKCore {
 
+  /** Peeling rounds after which `coreEdges` gives up. */
+  private val MaxIterations = 1000
+
   /** Edges of the temporal k-core of `edges` (same schema `u, v, t`). */
-  def coreEdges(edges: DataFrame, k: Int, h: Int = 1, maxIterations: Int = 1000): DataFrame = {
+  def coreEdges(edges: DataFrame, k: Int, h: Int = 1): DataFrame = {
     require(h >= 1, s"link strength h must be >= 1, got $h")
     var cur = {
       val base =
@@ -32,7 +35,7 @@ object DistKCore {
     }
     var it = 0
     var done = cur.isEmpty
-    while (!done && it < maxIterations) {
+    while (!done && it < MaxIterations) {
       val bad = EdgeOps.degrees(cur).where(col("degree") < k).select("vertex")
       if (bad.isEmpty) done = true
       else {
@@ -44,7 +47,7 @@ object DistKCore {
       }
       it += 1
     }
-    require(done, s"peeling did not converge within $maxIterations iterations")
+    require(done, s"peeling did not converge within $MaxIterations iterations")
     cur
   }
 

@@ -62,7 +62,7 @@ object Datasets {
   final case class QuerySpec(id: Int, dataset: String, window: Interval, k: Int)
 
   /** Per-dataset query-window span for the Table 3 stand-ins (the paper's
-    * windows span 1–3 "days" at its time resolution; ours span 40–50 units).
+    * windows span 1–3 "days" at its time resolution; ours span 100–120 units).
     */
   private val querySpanOf: Map[String, Int] = Map(
     collegeMsg.name -> 120,

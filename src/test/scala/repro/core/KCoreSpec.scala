@@ -84,36 +84,15 @@ class KCoreSpec extends AnyFunSuite {
     assert(!c.edges.exists(e => e.u == 9 || e.v == 9))
   }
 
-  test("coreness of a triangle with a pendant") {
-    val es = tri() :+ TemporalEdge(3, 4, 1)
-    val cn = KCore.coreness(es)
-    assert(cn == Map(1L -> 2, 2L -> 2, 3L -> 2, 4L -> 1))
-  }
-
-  test("coreness of K5") {
-    val es = (for { i <- 1L to 5L; j <- (i + 1) to 5L } yield TemporalEdge(i, j, 1)).toVector
-    assert(KCore.coreness(es).values.toSet == Set(4))
-  }
-
-  test("coreness of empty graph") {
-    assert(KCore.coreness(Vector.empty[TemporalEdge]).isEmpty)
-  }
-
-  test("coreness consistent with coreVertices on random graphs") {
+  test("coreVertices matches a decomposed TEL on random graphs") {
     for (seed <- 1 to 8) {
       val es = TestGraphs.random(seed, nV = 20, nE = 60, horizon = 10)
-      val cn = KCore.coreness(es)
       for (k <- 1 to 5) {
-        val expected = cn.collect { case (v, c) if c >= k => v }.toSet
-        assert(KCore.coreVertices(es, k) == expected, s"seed=$seed k=$k")
+        val tel = TEL.fromEdges(es)
+        tel.decompose(k)
+        assert(KCore.coreVertices(es, k) == tel.vertices.toSet, s"seed=$seed k=$k")
       }
     }
-  }
-
-  test("coreness never exceeds degree") {
-    val es = TestGraphs.random(42, nV = 30, nE = 120, horizon = 10)
-    val adj = KCore.adjacency(es)
-    KCore.coreness(es).foreach { case (v, c) => assert(c <= adj(v).size) }
   }
 
   test("k-core is monotone decreasing in k") {

@@ -11,7 +11,9 @@ import repro.baseline.{IPHCQuery, PHCIndex}
   * to the engine's master between queries (§6.1) must be visible to the
   * next query, and must not change the cores the previous query returned,
   * which are read only after the appends. Every core's O(1) sizes equal
-  * those of its materialised edges and vertices.
+  * those of its materialised edges and vertices. Vertex ids are spread over
+  * the whole non-negative `Long` range, so no module may pack them into
+  * fewer bits.
   */
 class TCQDifferentialSpec extends AnyFunSuite {
   import TCQDifferentialSpec.Scenario
@@ -44,10 +46,17 @@ class TCQDifferentialSpec extends AnyFunSuite {
     h <- Gen.frequency(2 -> 1, 1 -> 2, 1 -> 3)
     maxSpan <- Gen.frequency(2 -> None, 1 -> Gen.choose(0, horizon).map(Some(_)))
     w <- window
-  } yield Scenario(edges.toVector, appends, k, h, maxSpan, w)
+    spread <- Gen.oneOf((0L, 1L), (1L << 40, 1L << 33), (Long.MaxValue - 100, 7L))
+  } yield {
+    // Vertex i becomes base + i * stride.
+    val (base, stride) = spread
+    def ids(es: Seq[TemporalEdge]) =
+      es.iterator.map(e => TemporalEdge(base + e.u * stride, base + e.v * stride, e.t)).toVector
+    Scenario(ids(edges), ids(appends), k, h, maxSpan, w)
+  }
 
   /** Shapes the generator must keep producing, counted across all cases. */
-  private var emptyResults, nonEmptyResults, singleTimestamp, baselineChecked = 0
+  private var emptyResults, nonEmptyResults, singleTimestamp, baselineChecked, wideBaseline = 0
 
   private def query(engine: TELEngine, s: Scenario): (TCQResult, TCQResult) =
     (OTCD.run(engine, s.k, s.window, s.maxSpan), TCD.run(engine, s.k, s.window, s.maxSpan))
@@ -73,6 +82,7 @@ class TCQDifferentialSpec extends AnyFunSuite {
       val base = IPHCQuery.run(edges, index, s.k, s.window)
       assert(TestGraphs.keySet(base.cores) == expected, s"$what: iPHC-Query != naive for $s")
       baselineChecked += 1
+      if (expected.nonEmpty && edges.exists(_.u > Int.MaxValue)) wideBaseline += 1
     }
     if (expected.isEmpty) emptyResults += 1 else nonEmptyResults += 1
   }
@@ -91,9 +101,10 @@ class TCQDifferentialSpec extends AnyFunSuite {
     val prop = Prop.forAll(scenario) { s => run(s); true }
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(result.passed, result.status.toString)
-    assert(emptyResults > 0 && nonEmptyResults > 0 && singleTimestamp > 0 && baselineChecked > 0,
+    assert(emptyResults > 0 && nonEmptyResults > 0 && singleTimestamp > 0 && baselineChecked > 0 &&
+      wideBaseline > 0,
       s"generator coverage: empty=$emptyResults nonEmpty=$nonEmptyResults " +
-        s"singleTimestamp=$singleTimestamp baseline=$baselineChecked")
+        s"singleTimestamp=$singleTimestamp baseline=$baselineChecked wideBaseline=$wideBaseline")
   }
 }
 

@@ -3,11 +3,12 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Differential tests for `TEL.copy` / `copyRange` / `compact`: a copy, and
-  * the source it was taken from, must both behave exactly like a TEL built
-  * from scratch over the edges they hold, through later appends and TCD
-  * operations. A compacted source must also behave exactly like one that
-  * went through the same truncations and decompositions uncompacted.
+/** Differential tests for `TEL.copy` / `copyRange`: a copy, and the source
+  * it was taken from, must both behave exactly like a TEL built from scratch
+  * over the edges they hold, through later appends and TCD operations. A
+  * source compacted by a `copyRange` over its whole timeline, as a TCQ row
+  * source is, must also behave exactly like one that went through the same
+  * truncations and decompositions uncompacted.
   */
 class TELCopySpec extends AnyFunSuite {
   import TELCopySpec.Scenario
@@ -62,7 +63,9 @@ class TELCopySpec extends AnyFunSuite {
   }
 
   private def run(s: Scenario): Unit = {
-    val source = TEL.fromEdges(s.edges, s.h)
+    var source = TEL.fromEdges(s.edges, s.h)
+    // Compaction as a TCQ row source gets it: replaced by a whole-timeline copyRange.
+    def rebuildSource(): Unit = source = source.copyRange(Int.MinValue, Int.MaxValue)
     val plain = TEL.fromEdges(s.edges, s.h) // the same operations, never compacted
     def both(op: TEL => Unit): Unit = { op(source); op(plain) }
     s.truncateTo.foreach { case (a, b) => both(_.truncate(a, b)) }
@@ -72,7 +75,7 @@ class TELCopySpec extends AnyFunSuite {
       // on the peel stack, under ids that compaction renumbers.
       retruncate.foreach { case (a, b) => both(_.truncate(a, b)) }
       if (source.sparse) sparseCompactions += 1
-      source.compact()
+      rebuildSource()
       sameAs(source, TEL.fromEdges(plain.edges, s.h), "compacted source")
       s.decomposeK.foreach(k => both(_.decompose(k)))
       sameAs(source, plain, "compacted source after decompose")
@@ -92,7 +95,7 @@ class TELCopySpec extends AnyFunSuite {
     if (s.compaction.isDefined) {
       if (s.h > 1 && (before ++ s.appends).groupBy(e => TemporalEdge.pairKey(e.u, e.v))
           .exists(_._2.size < s.h)) pendingCompactions += 1
-      source.compact()
+      rebuildSource()
     }
     val expSource = TEL.fromEdges(before ++ s.appends, s.h)
     val expCopy = TEL.fromEdges(copied ++ s.appends, s.h)

@@ -307,8 +307,13 @@ class TELSpec extends AnyFunSuite {
     assert(large.memoryFootprintBytes > small.memoryFootprintBytes)
   }
 
-  test("vertex ids above 31 bits are rejected") {
-    intercept[IllegalArgumentException](TEL.empty().addEdge(Int.MaxValue.toLong + 1, 1, 1))
+  test("negative vertex ids are rejected") {
+    val err = intercept[IllegalArgumentException](TEL.empty().addEdge(-3, 1, 1))
+    assert(err.getMessage.contains("(-3,1)"), err.getMessage)
+    intercept[IllegalArgumentException](TEL.empty().addEdge(1, -1, 1))
+    val wide = TEL.empty()
+    wide.addEdge(1L << 40, Long.MaxValue, 1)
+    assert(wide.edges == Vector(TemporalEdge(1L << 40, Long.MaxValue, 1)))
   }
 
   test("snapshot handles keep their core through later truncate, decompose and addEdge") {
