@@ -34,8 +34,8 @@ object IPHCQuery {
     var induced = 0L
     var duplicates = 0L
 
-    var ts = Ts
-    while (ts <= Te) {
+    // Ranges end at their last element, so windows at the Int bounds do not wrap.
+    for (ts <- Ts to Te) {
       val coreTimes = index.coreTimes(ts)
       if (coreTimes.nonEmpty) {
         // H_v: vertices ordered by core time (line 3), keyed by their index
@@ -60,8 +60,7 @@ object IPHCQuery {
         var minT = Int.MaxValue
         var maxT = Int.MinValue
         val pushBack = mutable.ArrayBuffer.empty[Long]
-        var te = ts
-        while (te <= Te) {
+        for (te <- ts to Te) {
           // line 6: pop vertices whose core time is within te
           while (hv.nonEmpty && (hv.peek >>> 32).toInt <= te) {
             vSet(anchored((hv.pop() & 0xFFFFFFFFL).toInt)) = true
@@ -89,10 +88,8 @@ object IPHCQuery {
               collected(tti) = CoreResult(tti, vSet.keysIterator.toSet, es)
             }
           }
-          te += 1
         }
       }
-      ts += 1
     }
     TCQResult(
       collected.values.toVector,

@@ -2,8 +2,8 @@ package repro.core
 
 /** An undirected temporal edge: interaction between `u` and `v` at time `t`.
   *
-  * Orientation (`u` as source, `v` as destination) is preserved because the
-  * paper's TEL keeps separate Source Lists and Destination Lists, but all
+  * Orientation (`u` as source, `v` as destination) is preserved because
+  * every engine stores and returns an edge's endpoints as given, but all
   * degree semantics are undirected.
   */
 final case class TemporalEdge(u: Long, v: Long, t: Int) {

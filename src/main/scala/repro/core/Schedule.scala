@@ -11,11 +11,12 @@ package repro.core
   */
 final class Schedule(val Ts: Int, val Te: Int) {
   require(Te >= Ts, s"bad window [$Ts,$Te]")
-  val span: Int = Te - Ts + 1
-  require(span.toLong * span <= (1L << 31) - 8, s"schedule span $span too large")
+  val span: Long = Te.toLong - Ts + 1
+  // 46340² cells is the largest square that fits a JVM array.
+  require(span <= 46340, s"schedule span $span too large")
 
   private val NotPruned: Byte = 0
-  private val cells = new Array[Byte](span * span)
+  private val cells = new Array[Byte]((span * span).toInt)
 
   private var _prunedPoR = 0L
   private var _prunedPoU = 0L
@@ -25,7 +26,7 @@ final class Schedule(val Ts: Int, val Te: Int) {
   private var _triggersPoL = 0L
   private var _visited = 0L
 
-  @inline private def idx(r: Int, c: Int): Int = (r - Ts) * span + (c - Ts)
+  @inline private def idx(r: Int, c: Int): Int = ((r - Ts) * span + (c - Ts)).toInt
 
   def isPruned(r: Int, c: Int): Boolean = cells(idx(r, c)) != NotPruned
 
@@ -45,22 +46,24 @@ final class Schedule(val Ts: Int, val Te: Int) {
 
   /** Algorithm 3: given the TTI `[ts', te']` of the core just induced at
     * cell `[ts, te]`, prune the cells each rule predicts to be duplicates.
+    * No loop steps past a window bound, which may be `Int.MinValue` or
+    * `Int.MaxValue`.
     */
   def applyRules(ts: Int, te: Int, tti: Interval): Unit = {
     val ts1 = tti.ts
     val te1 = tti.te
     if (te1 < te) { // Rule 1: Pruning-on-the-Right (Lemma 2)
       _triggersPoR += 1
-      var c = te - 1
-      while (c >= te1) { mark(ts, c, 1); c -= 1 }
+      var c = te1
+      while (c < te) { mark(ts, c, 1); c += 1 }
     }
     if (ts1 > ts) { // Rule 2: Pruning-on-the-Underside (Lemmas 3–4)
       _triggersPoU += 1
-      var r = ts + 1
-      while (r <= ts1) {
+      var r = ts1
+      while (r > ts) {
         var c = te
         while (c >= r) { mark(r, c, 2); c -= 1 }
-        r += 1
+        r -= 1
       }
     }
     if (ts1 > ts && te1 < te) { // Rule 3: Pruning-on-the-Left (Lemma 5)
@@ -74,19 +77,7 @@ final class Schedule(val Ts: Int, val Te: Int) {
     }
   }
 
-  /** True when every cell of row `r` is pruned (the row can be skipped
-    * without copying the row-source graph).
-    */
-  def rowFullyPruned(r: Int): Boolean = {
-    var c = r
-    while (c <= Te) {
-      if (!isPruned(r, c)) return false
-      c += 1
-    }
-    true
-  }
-
-  def totalCells: Long = span.toLong * (span + 1) / 2
+  def totalCells: Long = span * (span + 1) / 2
 
   def stats(induced: Long, duplicates: Long): RunStats = RunStats(
     inducedCores = induced,

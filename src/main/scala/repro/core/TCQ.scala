@@ -48,41 +48,43 @@ object TCQ {
     var induced = 0L
     var duplicates = 0L
 
+    // Rows and columns stop at their last cell rather than stepping past it,
+    // so windows that end at Int.MinValue or Int.MaxValue do not wrap.
     val rowSource = engine.initial(Ts, Te)
     var stop = false
     var r = Ts
-    while (r <= Te && !stop) {
+    while (!stop) {
       rowSource.truncate(r, Te)
-      if (!(pruning && sched.rowFullyPruned(r))) {
-        var working: CoreState = null
-        var rowDead = false
-        var c = Te
-        while (c >= r && !rowDead) {
-          if (!(pruning && sched.isPruned(r, c))) {
-            sched.recordVisit()
-            if (working == null) {
-              rowSource.decompose(k)
-              working = rowSource.copyState()
-            }
-            working.truncate(r, c)
-            working.decompose(k)
-            working.snapshot() match {
-              case None =>
-                // Smaller intervals induce subgraphs (Lemma 1): the row is
-                // done; if even [r, Te] is empty the whole schedule is.
-                if (c == Te) stop = true
-                rowDead = true
-              case Some(core) =>
-                induced += 1
-                if (!seen.add(core.tti)) duplicates += 1
-                else if (maxSpan.forall(core.tti.span <= _)) collected(core.tti) = core
-                if (pruning) sched.applyRules(r, c, core.tti)
-            }
+      // The row source is copied at the row's first unpruned cell, so a
+      // fully pruned row makes no copy.
+      var working: CoreState = null
+      var rowDone = false
+      var c = Te
+      while (!rowDone) {
+        if (!(pruning && sched.isPruned(r, c))) {
+          sched.recordVisit()
+          if (working == null) {
+            rowSource.decompose(k)
+            working = rowSource.copyState()
           }
-          c -= 1
+          working.truncate(r, c)
+          working.decompose(k)
+          working.snapshot() match {
+            case None =>
+              // Smaller intervals induce subgraphs (Lemma 1): the row is
+              // done; if even [r, Te] is empty the whole schedule is.
+              if (c == Te) stop = true
+              rowDone = true
+            case Some(core) =>
+              induced += 1
+              if (!seen.add(core.tti)) duplicates += 1
+              else if (maxSpan.forall(core.tti.span <= _)) collected(core.tti) = core
+              if (pruning) sched.applyRules(r, c, core.tti)
+          }
         }
+        if (c == r) rowDone = true else c -= 1
       }
-      r += 1
+      if (r == Te) stop = true else r += 1
     }
     TCQResult(collected.values.toVector, sched.stats(induced, duplicates))
   }
@@ -114,17 +116,12 @@ object NaiveTCQ {
       maxSpan: Option[Int] = None): Vector[CoreResult] = {
     val seen = mutable.HashSet.empty[Vector[(Long, Long, Int)]]
     val out = Vector.newBuilder[CoreResult]
-    var ts = window.ts
-    while (ts <= window.te) {
-      var te = window.te
-      while (te >= ts) {
-        val sub = edges.filter(e => e.t >= ts && e.t <= te)
-        KCore.core(sub, k, h).foreach { core =>
-          if (seen.add(core.canonicalKey) && maxSpan.forall(core.tti.span <= _)) out += core
-        }
-        te -= 1
+    // Ranges end at their last element, so windows at the Int bounds do not wrap.
+    for (ts <- window.ts to window.te; te <- window.te to ts by -1) {
+      val sub = edges.filter(e => e.t >= ts && e.t <= te)
+      KCore.core(sub, k, h).foreach { core =>
+        if (seen.add(core.canonicalKey) && maxSpan.forall(core.tti.span <= _)) out += core
       }
-      ts += 1
     }
     out.result()
   }

@@ -62,22 +62,25 @@ private[core] final class LongIntMap(expected: Int) {
   * All state lives in plain arrays indexed by dense, instance-local `Int`
   * ids: edges, vertices, vertex pairs and time nodes are numbered in order of
   * appearance, and an id table maps local vertices back to their external
-  * `Long` ids for output. Edges are threaded through four intrusive
-  * doubly-linked lists:
+  * `Long` ids for output. Three kinds of intrusive doubly-linked list
+  * thread the graph:
   *
   *   - '''TL(t)''' — all edges with timestamp `t`; the TLs themselves are
   *     linked into an ascending ''timeline'' so `get_TTI`, `next_TL`,
   *     `prev_TL` and `del_TL` are O(1) (Table 1 of the paper).
-  *   - '''SL(v) / DL(v)''' — all edges whose source / destination is `v`
-  *     (undirected adjacency split by stored orientation, as in the paper).
-  *   - '''PL(u,v)''' — all parallel edges of one vertex pair; this extra
-  *     dimension (not in the paper's figure but implied by §6.2) lets the
-  *     link-strength extension purge a weakening pair in time linear in the
-  *     number of its remaining edges.
+  *   - '''PL(p)''' — all parallel edges of vertex pair `p`. The link-strength
+  *     extension (§6.2) purges a weakening pair through it, and a peel
+  *     deletes every pair of the peeled vertex through it, each in time
+  *     linear in the pair's remaining edges.
+  *   - '''NL(v)''' — the pairs of `v` that hold an alive edge, in place of
+  *     the paper's SL(v) / DL(v). Pair `p` has two ends: `2p` sits on its
+  *     lower local endpoint, `2p + 1` on its higher one. Both are linked when
+  *     the pair gains its first alive edge and unlinked when it loses its
+  *     last, so |NL(v)| is `v`'s number of ''distinct neighbours'' (the
+  *     paper's degree) whatever the orientation of the pair's edges.
   *
   * Every edge stores its endpoints, its pair slot and its time node, so
   * `del_edge` and with it `truncate` and `decompose` touch arrays only.
-  * Degrees count ''distinct neighbours'' (paper's definition).
   * Decomposition peels with a fixed `k` instead of the paper's H_v min-heap:
   * a stack holds the vertices whose degree fell below the `k` of the last
   * `decompose`, and a degree change costs O(1). The stack is allocated at the
@@ -108,8 +111,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   // ---- edges: local ids [0, nEdges); deleted edges keep their slot ----
   private var eu, ev, etn, epair: Array[Int] = new Array[Int](edgeCapacity)
-  private var tlNext, tlPrev, slNext, slPrev, dlNext, dlPrev, plNext, plPrev: Array[Int] =
-    new Array[Int](edgeCapacity)
+  private var tlNext, tlPrev, plNext, plPrev: Array[Int] = new Array[Int](edgeCapacity)
   private var nEdges = 0
   private var nAlive = 0
 
@@ -121,12 +123,13 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   // ---- vertices: local ids [0, nVerts), external id in `ext` ----
   private var ext: Array[Long] = new Array[Long](16)
-  private var slHead, dlHead, degree: Array[Int] = new Array[Int](16)
+  private var nlHead, degree: Array[Int] = new Array[Int](16) // degree = |NL(v)|
   private var nVerts = 0
   private var nLive = 0 // vertices with degree > 0
 
   // ---- vertex pairs: strength = number of alive parallel edges ----
   private var plHead, strength: Array[Int] = new Array[Int](16)
+  private var nlNext, nlPrev: Array[Int] = new Array[Int](32) // by pair end 2p, 2p + 1
   private var pending: Array[Boolean] = new Array[Boolean](16) // queued for a §6.2 purge
   private var nPairs = 0
   private var purge: Array[Int] = new Array[Int](16) // stack of pending pairs
@@ -229,8 +232,6 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     val cap = math.max(16, eu.length * 2)
     eu = copyOf(eu, cap); ev = copyOf(ev, cap); etn = copyOf(etn, cap); epair = copyOf(epair, cap)
     tlNext = copyOf(tlNext, cap); tlPrev = copyOf(tlPrev, cap)
-    slNext = copyOf(slNext, cap); slPrev = copyOf(slPrev, cap)
-    dlNext = copyOf(dlNext, cap); dlPrev = copyOf(dlPrev, cap)
     plNext = copyOf(plNext, cap); plPrev = copyOf(plPrev, cap)
   }
 
@@ -268,12 +269,11 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private def newVertex(id: Long): Int = {
     if (nVerts == ext.length) {
       val cap = math.max(16, ext.length * 2)
-      ext = copyOf(ext, cap); slHead = copyOf(slHead, cap); dlHead = copyOf(dlHead, cap)
-      degree = copyOf(degree, cap)
+      ext = copyOf(ext, cap); nlHead = copyOf(nlHead, cap); degree = copyOf(degree, cap)
     }
     val x = nVerts
     nVerts += 1
-    ext(x) = id; slHead(x) = -1; dlHead(x) = -1; degree(x) = 0
+    ext(x) = id; nlHead(x) = -1; degree(x) = 0
     x
   }
 
@@ -282,6 +282,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     if (nPairs == plHead.length) {
       val cap = math.max(16, plHead.length * 2)
       plHead = copyOf(plHead, cap); strength = copyOf(strength, cap); pending = copyOf(pending, cap)
+      nlNext = copyOf(nlNext, 2 * cap); nlPrev = copyOf(nlPrev, 2 * cap)
     }
     val p = nPairs
     nPairs += 1
@@ -296,13 +297,19 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     nPurge += 1
   }
 
-  private def incDegree(x: Int): Unit = {
+  private def linkEnd(end: Int, x: Int): Unit = {
+    nlPrev(end) = -1; nlNext(end) = nlHead(x)
+    if (nlHead(x) != -1) nlPrev(nlHead(x)) = end
+    nlHead(x) = end
     val d = degree(x) + 1
     degree(x) = d
     if (d == 1) nLive += 1
   }
 
-  private def decDegree(x: Int): Unit = {
+  private def unlinkEnd(end: Int, x: Int): Unit = {
+    val np = nlPrev(end); val nx = nlNext(end)
+    if (np != -1) nlNext(np) = nx else nlHead(x) = nx
+    if (nx != -1) nlPrev(nx) = np
     val d = degree(x) - 1
     degree(x) = d
     if (d == 0) nLive -= 1
@@ -333,8 +340,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     ownsColumns = true
   }
 
-  /** Appends edge `(u, v, t)` of pair `p` in local ids: the tail of TL(t),
-    * the heads of SL(u), DL(v) and PL(p), plus strength and degree updates.
+  /** Appends edge `(u, v, t)` of pair `p` in local ids: the tail of TL(t)
+    * and the head of PL(p), plus the strength update; a pair's first alive
+    * edge also links its ends onto NL(u) and NL(v).
     */
   private def append(u: Int, v: Int, p: Int, t: Int): Unit = {
     if (nEdges == eu.length) growEdges()
@@ -346,18 +354,12 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     tlNext(e) = -1; tlPrev(e) = tlTail(tn)
     if (tlTail(tn) != -1) tlNext(tlTail(tn)) = e else tlHead(tn) = e
     tlTail(tn) = e
-    slPrev(e) = -1; slNext(e) = slHead(u)
-    if (slHead(u) != -1) slPrev(slHead(u)) = e
-    slHead(u) = e
-    dlPrev(e) = -1; dlNext(e) = dlHead(v)
-    if (dlHead(v) != -1) dlPrev(dlHead(v)) = e
-    dlHead(v) = e
     plPrev(e) = -1; plNext(e) = plHead(p)
     if (plHead(p) != -1) plPrev(plHead(p)) = e
     plHead(p) = e
     val c = strength(p) + 1
     strength(p) = c
-    if (c == 1) { incDegree(u); incDegree(v) }
+    if (c == 1) { linkEnd(2 * p, math.min(u, v)); linkEnd(2 * p + 1, math.max(u, v)) }
     // Pairs below the strength bound are purge-pending from the start;
     // reaching h cancels the pending flag (stale stack entries are skipped).
     if (c < h) { if (!pending(p)) queuePurge(p) }
@@ -390,10 +392,10 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     if (nx != -1) tnPrev(nx) = p else tailTn = p
   }
 
-  /** `del_edge(e)` (Table 1): O(1) unlink of an alive edge from all four
-    * lists plus degree / strength bookkeeping. Pairs whose strength drops
-    * into `(0, h)` are queued for purging (§6.2); `drainPurges()` completes
-    * the cascade.
+  /** `del_edge(e)` (Table 1): O(1) unlink of an alive edge from TL and PL
+    * plus strength bookkeeping; a pair's last alive edge also unlinks its
+    * ends from NL. Pairs whose strength drops into `(0, h)` are queued for
+    * purging (§6.2); `drainPurges()` completes the cascade.
     */
   private def delEdge(e: Int): Unit = {
     nAlive -= 1
@@ -404,23 +406,21 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     if (tp != -1) tlNext(tp) = tx else tlHead(tn) = tx
     if (tx != -1) tlPrev(tx) = tp else tlTail(tn) = tp
     if (tlHead(tn) == -1) removeTimeNode(tn)
-    // SL / DL / PL unlink
-    val sp = slPrev(e); val sx = slNext(e)
-    if (sp != -1) slNext(sp) = sx else slHead(u) = sx
-    if (sx != -1) slPrev(sx) = sp
-    val dp = dlPrev(e); val dx = dlNext(e)
-    if (dp != -1) dlNext(dp) = dx else dlHead(v) = dx
-    if (dx != -1) dlPrev(dx) = dp
     val pp = plPrev(e); val px = plNext(e)
     if (pp != -1) plNext(pp) = px else plHead(p) = px
     if (px != -1) plPrev(px) = pp
-    // strength / degree
     val c = strength(p) - 1
     strength(p) = c
     if (c == 0) {
       pending(p) = false
-      decDegree(u); decDegree(v)
+      unlinkEnd(2 * p, math.min(u, v)); unlinkEnd(2 * p + 1, math.max(u, v))
     } else if (c < h && !pending(p)) queuePurge(p)
+  }
+
+  /** Deletes every alive edge of pair `p` through PL(p). */
+  private def deletePair(p: Int): Unit = {
+    var e = plHead(p)
+    while (e != -1) { val nx = plNext(e); delEdge(e); e = nx }
   }
 
   /** Deletes every remaining edge of pairs whose strength fell below `h`
@@ -432,10 +432,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     while (nPurge > 0) {
       nPurge -= 1
       val p = purge(nPurge)
-      if (pending(p)) {
-        var e = plHead(p)
-        while (e != -1) { val nx = plNext(e); delEdge(e); e = nx }
-      }
+      if (pending(p)) deletePair(p)
     }
   }
 
@@ -461,9 +458,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * with fewer than `k` distinct (strength-qualified) neighbours.
     *
     * Once a `decompose(k)` has run, every live vertex below `k` is on the
-    * `below` stack: `decDegree` pushes a vertex when its degree drops from
-    * `k` to `k - 1`. A new `k`, or an `addEdge` since, needs one scan of the
-    * degrees. Without appends degrees only fall, so each live vertex is
+    * `below` stack: unlinking an NL end pushes a vertex when its degree
+    * drops from `k` to `k - 1`. A new `k`, or an `addEdge` since, needs one
+    * scan of the degrees. Without appends degrees only fall, so each live vertex is
     * pushed at most once per scan and the stack never outgrows `nLive`.
     */
   def decompose(k: Int): Unit = {
@@ -482,11 +479,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
       nBelow -= 1
       val v = below(nBelow)
       if (degree(v) > 0 && degree(v) < k) {
-        // peel v: delete all incident edges via SL(v) then DL(v)
-        var e = slHead(v)
-        while (e != -1) { val nx = slNext(e); delEdge(e); e = nx }
-        e = dlHead(v)
-        while (e != -1) { val nx = dlNext(e); delEdge(e); e = nx }
+        // peel v: delete every pair on NL(v); each has one end there
+        var end = nlHead(v)
+        while (end != -1) { val nx = nlNext(end); deletePair(end >> 1); end = nx }
         drainPurges()
       }
     }
@@ -557,19 +552,17 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     t.eu = eu; t.ev = ev; t.etn = etn; t.epair = epair
     t.tVals = tVals; t.ext = ext; t.ownsColumns = false
     t.tlNext = copyOf(tlNext, nEdges); t.tlPrev = copyOf(tlPrev, nEdges)
-    t.slNext = copyOf(slNext, nEdges); t.slPrev = copyOf(slPrev, nEdges)
-    t.dlNext = copyOf(dlNext, nEdges); t.dlPrev = copyOf(dlPrev, nEdges)
     t.plNext = copyOf(plNext, nEdges); t.plPrev = copyOf(plPrev, nEdges)
     t.nEdges = nEdges; t.nAlive = nAlive
     t.tnNext = copyOf(tnNext, nTimeNodes)
     t.tnPrev = copyOf(tnPrev, nTimeNodes)
     t.tlHead = copyOf(tlHead, nTimeNodes); t.tlTail = copyOf(tlTail, nTimeNodes)
     t.nTimeNodes = nTimeNodes; t.headTn = headTn; t.tailTn = tailTn
-    t.slHead = copyOf(slHead, nVerts)
-    t.dlHead = copyOf(dlHead, nVerts); t.degree = copyOf(degree, nVerts)
+    t.nlHead = copyOf(nlHead, nVerts); t.degree = copyOf(degree, nVerts)
     t.nVerts = nVerts; t.nLive = nLive
     t.plHead = copyOf(plHead, nPairs); t.strength = copyOf(strength, nPairs)
     t.pending = copyOf(pending, nPairs); t.nPairs = nPairs
+    t.nlNext = copyOf(nlNext, 2 * nPairs); t.nlPrev = copyOf(nlPrev, 2 * nPairs)
     t.purge = copyOf(purge, nPurge); t.nPurge = nPurge
     t
   }
@@ -583,8 +576,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   def memoryFootprintBytes: Long = {
     val owned = if (ownsColumns) arrayBytes(ext.length, 8) +
       Seq(eu, ev, etn, epair, tVals).map(a => arrayBytes(a.length, 4)).sum else 0L
-    val ints = Seq(tlNext, tlPrev, slNext, slPrev, dlNext, dlPrev, plNext, plPrev,
-      tnNext, tnPrev, tlHead, tlTail, slHead, dlHead, degree, plHead, strength, purge)
+    val ints = Seq(tlNext, tlPrev, plNext, plPrev, tnNext, tnPrev, tlHead, tlTail,
+      nlHead, degree, plHead, strength, nlNext, nlPrev, purge)
     owned + ints.map(a => arrayBytes(a.length, 4)).sum + arrayBytes(pending.length, 1) +
       Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes) +
       Option(below).fold(0L)(a => arrayBytes(a.length, 4))

@@ -19,10 +19,12 @@ object Tables {
   /** Table 1 — constant-time TEL manipulations. Measures ns/op of the O(1)
     * manipulation set at growing |E|; flat cost across sizes evidences the
     * O(1) bound. `del_edge`/`del_TL` are exercised through truncation (a
-    * pure stream of those two manipulations), `get_SL`/`get_DL` through the
-    * degree lookup that fronts both lists. `copy` is the row-source copy OTCD
-    * makes once per row (§5.2), per copied edge. `decompose` peels whole
-    * copies at a `k` above the maximum degree, per deleted edge.
+    * pure stream of those two manipulations). The paper's `get_SL`/`get_DL`
+    * have no counterpart, because the TEL keeps one neighbour list NL(v) per
+    * vertex; the `degreeOf` column times its O(1) size. `copy` is the
+    * row-source copy OTCD makes once per row (§5.2), per copied edge.
+    * `decompose` peels whole copies at a `k` above the maximum degree, per
+    * deleted edge.
     */
   def table1(): (Vector[Table1Row], String) = {
     val base = Datasets.generate(Datasets.flickr.name).edges
@@ -37,7 +39,7 @@ object Tables {
         while (i < reps) { acc += tel.tti.map(_.ts).getOrElse(0); i += 1 }
         acc
       }
-      // get_SL/get_DL front: degree lookup
+      // degreeOf: |NL(v)| lookup
       val vs = edges.take(1024).map(_.u).toArray
       val (_, degMs) = Timing.time {
         var i = 0; var acc = 0L
@@ -71,7 +73,7 @@ object Tables {
     }
     val text = TextTable.render(
       "Table 1 (repro): TEL manipulation cost (ns/op) vs |E| — flat = O(1)",
-      Seq("|E|", "get_TTI", "get_SL/DL", "add_edge", "del_edge+del_TL", "copy (per edge)",
+      Seq("|E|", "get_TTI", "degreeOf", "add_edge", "del_edge+del_TL", "copy (per edge)",
         "decompose (per edge)"),
       rows.map(r => Seq(r.numEdges.toString, f"${r.ttiNs}%.1f", f"${r.getDegNs}%.1f",
         f"${r.addEdgeNs}%.1f", f"${r.delEdgeNs}%.1f", f"${r.copyNs}%.1f", f"${r.decomposeNs}%.1f")))

@@ -104,6 +104,35 @@ class EdgeCasesSpec extends AnyFunSuite {
     assert(res.stats.cellsVisited == 1)
   }
 
+  /** Every algorithm on `es` over `w`, each given 10 s on a daemon thread,
+    * returns the one core `es` holds.
+    */
+  private def allFindOneCore(es: Vector[TemporalEdge], w: Interval): Unit = {
+    import TestGraphs.{keySet, within}
+    val naive = keySet(within(10)(NaiveTCQ.run(es, 2, w)))
+    assert(naive == keySet(KCore.core(es, 2)), s"NaiveTCQ on $w")
+    assert(keySet(within(10)(OTCD.run(new TELEngine(es), 2, w)).cores) == naive, s"OTCD on $w")
+    assert(keySet(within(10)(TCD.run(new TELEngine(es), 2, w)).cores) == naive, s"TCD on $w")
+    val idx = PHCIndex.build(es, 2, w)
+    assert(keySet(within(10)(IPHCQuery.run(es, idx, 2, w)).cores) == naive, s"iPHC-Query on $w")
+  }
+
+  test("windows ending at Int.MaxValue stop at their last row and column") {
+    allFindOneCore(tri.map(_.copy(t = Int.MaxValue)), Interval(Int.MaxValue - 3, Int.MaxValue))
+  }
+
+  test("windows starting at Int.MinValue stop at their last row and column") {
+    allFindOneCore(tri.map(_.copy(t = Int.MinValue)), Interval(Int.MinValue, Int.MinValue + 3))
+  }
+
+  test("a schedule spanning the whole Int range is rejected as too large") {
+    val err = intercept[IllegalArgumentException](new Schedule(Int.MinValue, Int.MaxValue))
+    assert(err.getMessage.contains("schedule span 4294967296 too large"), err.getMessage)
+    val otcd = intercept[IllegalArgumentException](
+      OTCD.run(new TELEngine(tri), 2, Interval(Int.MinValue, Int.MaxValue)))
+    assert(otcd.getMessage.contains("too large"), otcd.getMessage)
+  }
+
   test("distinct count via TTI equals distinct count via canonical key (many seeds)") {
     for (seed <- 1 to 12) {
       val es = TestGraphs.random(seed * 293, nV = 12, nE = 80, horizon = 8)

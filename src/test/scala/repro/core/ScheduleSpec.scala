@@ -63,13 +63,6 @@ class ScheduleSpec extends AnyFunSuite {
     assert(st2.triggersPoR == 2) // triggers still counted per event
   }
 
-  test("rowFullyPruned detects complete rows") {
-    val s = new Schedule(1, 6)
-    s.applyRules(1, 6, Interval(3, 6)) // rows 2,3 fully pruned
-    assert(s.rowFullyPruned(2) && s.rowFullyPruned(3))
-    assert(!s.rowFullyPruned(4))
-  }
-
   test("Lemma 2 (PoR): shrinking te within [te', te] preserves the core") {
     for (seed <- 1 to 8) {
       val es = TestGraphs.random(seed * 71, nV = 14, nE = 90, horizon = 10)

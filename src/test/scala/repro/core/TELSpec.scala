@@ -217,6 +217,49 @@ class TELSpec extends AnyFunSuite {
     assert(core.size == 12 && t.degreeOf(5) == 0)
   }
 
+  test("NL bookkeeping holds for pairs emptied by truncate or decompose and revived by addEdge") {
+    // Every pair holds two edges, so h = 2 keeps them all and a peel at
+    // h = 1 must delete parallel edges. Pair (1,2) is the last pair linked on
+    // both endpoints and its two edges point opposite ways, so ends unlinked
+    // by the orientation of the pair's last edge would swap NL(1) and NL(2).
+    def two(u: Long, v: Long, at: Int) = Vector.fill(2)(TemporalEdge(u, v, at))
+    val k4 = Seq((2L, 3L), (2L, 4L), (2L, 5L), (3L, 4L), (3L, 5L), (4L, 5L))
+    for (h <- 1 to 2) {
+      val es = k4.flatMap { case (u, v) => two(u, v, 1) } ++ two(1, 3, 1) ++ two(1, 4, 1) ++
+        Vector(TemporalEdge(2, 1, 2), TemporalEdge(1, 2, 2))
+      val t = tel(es, h)
+      def counts(step: String): Unit = {
+        val alive = t.edges
+        for (a <- 1L to 5L) {
+          val nbrs = alive.collect { case e if e.u == a => e.v; case e if e.v == a => e.u }
+          assert(t.degreeOf(a) == nbrs.distinct.size, s"h=$h $step: degreeOf($a)")
+          for (b <- 1L to 5L if b != a) assert(
+            t.strengthOf(a, b) == alive.count(_.pair == ((a min b, a max b))),
+            s"h=$h $step: strengthOf($a, $b)")
+        }
+        assert(t.numVertices == alive.flatMap(e => Seq(e.u, e.v)).distinct.size, s"h=$h $step")
+      }
+      // A corrupted list can make a peel loop, so each step gets 10 s.
+      def step(name: String)(mutate: => Unit): Unit = {
+        TestGraphs.within(10)(mutate)
+        counts(name)
+      }
+      def peel(k: Int, size: Int): Unit = assert(peelsLikeReference(t, t.edges, k, h).size == size)
+      counts("build")
+      step("truncate empties (1,2)")(t.truncate(1, 1))
+      assert(t.strengthOf(1, 2) == 0)
+      step("peeling 1 empties (1,3) and (1,4)")(peel(3, 12))
+      assert(t.degreeOf(1) == 0)
+      step("revive (1,2), (1,3) as before and (1,4) reversed") {
+        (two(1, 2, 3) ++ two(1, 3, 3) ++ two(4, 1, 3)).foreach(e => t.addEdge(e.u, e.v, e.t))
+      }
+      step("peel keeps the revived pairs")(peel(3, 18))
+      step("truncate to the revived pairs")(t.truncate(3, 3))
+      step("peel the star")(peel(1, 6))
+      step("peel the star away")(peel(2, 0))
+    }
+  }
+
   test("copy is deep: mutating the copy leaves the original intact") {
     val t = tel(TestGraphs.example)
     val c = t.copy()

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 import scala.util.Random
 
 /** Shared fixtures for the algorithm tests: deterministic random temporal
@@ -18,6 +20,19 @@ object TestGraphs {
       while (v == u) v = rnd.nextInt(nV).toLong
       TemporalEdge(u, v, 1 + rnd.nextInt(horizon))
     }
+  }
+
+  /** Runs `body` on a fresh daemon thread and returns its result, or throws
+    * `TimeoutException` after `seconds`, so a test of code that loops forever
+    * fails instead of hanging the suite.
+    */
+  def within[T](seconds: Int)(body: => T): T = {
+    val ec = ExecutionContext.fromExecutor { r =>
+      val th = new Thread(r)
+      th.setDaemon(true)
+      th.start()
+    }
+    Await.result(Future(body)(ec), seconds.seconds)
   }
 
   /** Canonical identity set of a collection of cores. */
