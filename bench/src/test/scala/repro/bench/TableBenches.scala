@@ -84,7 +84,7 @@ class Table5Bench extends AnyFunSuite {
     assert(rows.size == 7)
     // Memory ordering follows edge counts (collegemsg < mathoverflow < ... ).
     val byEdges = rows.sortBy(r => Datasets.generate(r.name).numEdges).map(_.telMB)
-    byEdges.sliding(2).foreach { case Seq(a, b) => assert(b >= a * 0.8) }
+    byEdges.zip(byEdges.tail).foreach { case (a, b) => assert(b >= a * 0.8) }
     rows.foreach(r => assert(r.telMB > 0 && r.telMB < 2000, r.name))
   }
 }

@@ -9,7 +9,7 @@ import repro.graphgen.Datasets
 /** Shared SparkSession bootstrap for the job entrypoints. */
 object JobSession {
   def get(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -30,7 +30,7 @@ object IPHCQuery {
       edges.filter(e => e.t >= Ts && e.t <= Te && e.u != e.v).toArray
 
     val seen = mutable.HashSet.empty[Interval]
-    val collected = mutable.LinkedHashMap.empty[Interval, CoreResult]
+    val collected = Vector.newBuilder[CoreResult]
     var induced = 0L
     var duplicates = 0L
 
@@ -85,14 +85,14 @@ object IPHCQuery {
             if (!seen.add(tti)) duplicates += 1
             else {
               val es = eList.iterator.map(winEdges(_)).toVector
-              collected(tti) = CoreResult(tti, vSet.keysIterator.toSet, es)
+              collected += CoreResult(tti, vSet.keysIterator.toSet, es)
             }
           }
         }
       }
     }
     TCQResult(
-      collected.values.toVector,
+      collected.result(),
       RunStats(inducedCores = induced, duplicateCores = duplicates,
         totalCells = window.length.toLong * (window.length + 1) / 2))
   }

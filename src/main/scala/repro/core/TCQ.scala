@@ -25,7 +25,7 @@ import scala.collection.mutable
   * Link strength `h` (§6.2) is not a query parameter: it belongs to the
   * engine, whose TEL purges sub-`h` pairs as edges are deleted. `maxSpan`
   * (§6.2) keeps only cores whose TTI span `te' - ts'` is at most the bound,
-  * e.g. 0 keeps only single-timestamp cores.
+  * e.g. 0 keeps only single-timestamp cores; a negative bound is rejected.
   *
   * Early termination: if the core of `[ts, Te]` is empty then every
   * remaining subinterval's core is empty too (Lemma 1) and the whole run
@@ -40,10 +40,11 @@ object TCQ {
       maxSpan: Option[Int] = None,
       pruning: Boolean = true): TCQResult = {
     require(k >= 1, s"k must be >= 1, got $k")
+    requireSpan(maxSpan)
     val Ts = window.ts
     val Te = window.te
     val sched = new Schedule(Ts, Te)
-    val collected = mutable.LinkedHashMap.empty[Interval, CoreResult]
+    val collected = Vector.newBuilder[CoreResult]
     val seen = mutable.HashSet.empty[Interval]
     var induced = 0L
     var duplicates = 0L
@@ -78,7 +79,7 @@ object TCQ {
             case Some(core) =>
               induced += 1
               if (!seen.add(core.tti)) duplicates += 1
-              else if (maxSpan.forall(core.tti.span <= _)) collected(core.tti) = core
+              else if (maxSpan.forall(core.tti.span <= _)) collected += core
               if (pruning) sched.applyRules(r, c, core.tti)
           }
         }
@@ -86,8 +87,12 @@ object TCQ {
       }
       if (r == Te) stop = true else r += 1
     }
-    TCQResult(collected.values.toVector, sched.stats(induced, duplicates))
+    TCQResult(collected.result(), sched.stats(induced, duplicates))
   }
+
+  /** Rejects a negative `maxSpan`, which no core could meet. */
+  private[core] def requireSpan(maxSpan: Option[Int]): Unit =
+    maxSpan.foreach(s => require(s >= 0, s"maxSpan must be >= 0, got $s"))
 }
 
 /** TCD algorithm (Algorithm 2): full enumeration, no inter-core pruning. */
@@ -114,6 +119,7 @@ object NaiveTCQ {
       window: Interval,
       h: Int = 1,
       maxSpan: Option[Int] = None): Vector[CoreResult] = {
+    TCQ.requireSpan(maxSpan)
     val seen = mutable.HashSet.empty[Vector[(Long, Long, Int)]]
     val out = Vector.newBuilder[CoreResult]
     // Ranges end at their last element, so windows at the Int bounds do not wrap.

@@ -60,14 +60,16 @@ private[core] final class LongIntMap(expected: Int) {
   * temporal graph on which TCD operations execute.
   *
   * All state lives in plain arrays indexed by dense, instance-local `Int`
-  * ids: edges, vertices, vertex pairs and time nodes are numbered in order of
+  * ids: edges, vertices and vertex pairs are numbered in order of
   * appearance, and an id table maps local vertices back to their external
-  * `Long` ids for output. Three kinds of intrusive doubly-linked list
-  * thread the graph:
+  * `Long` ids for output. Edge ids ascend with timestamps: `addEdge` and
+  * `copyRange` append in time order, and `copy()` keeps ids. Three kinds of
+  * intrusive doubly-linked list thread the graph:
   *
-  *   - '''TL(t)''' — all edges with timestamp `t`; the TLs themselves are
-  *     linked into an ascending ''timeline'' so `get_TTI`, `next_TL`,
-  *     `prev_TL` and `del_TL` are O(1) (Table 1 of the paper).
+  *   - '''The timeline''' — every alive edge in id, hence timestamp, order.
+  *     The paper's TL(t) is the list's run of edges at `t`. Its head and
+  *     tail give `get_TTI` in O(1), and truncation deletes from either end,
+  *     so the paper's `del_TL` is a run of `del_edge`s (Table 1).
   *   - '''PL(p)''' — all parallel edges of vertex pair `p`. The link-strength
   *     extension (§6.2) purges a weakening pair through it, and a peel
   *     deletes every pair of the peeled vertex through it, each in time
@@ -79,8 +81,9 @@ private[core] final class LongIntMap(expected: Int) {
   *     last, so |NL(v)| is `v`'s number of ''distinct neighbours'' (the
   *     paper's degree) whatever the orientation of the pair's edges.
   *
-  * Every edge stores its endpoints, its pair slot and its time node, so
-  * `del_edge` and with it `truncate` and `decompose` touch arrays only.
+  * Every edge stores its endpoints, its pair slot and its timestamp, so
+  * `del_edge` and with it `truncate` and `decompose` touch arrays only. A
+  * deleted edge keeps its slot, marked dead.
   * Decomposition peels with a fixed `k` instead of the paper's H_v min-heap:
   * a stack holds the vertices whose degree fell below the `k` of the last
   * `decompose`, and a degree change costs O(1). The stack is allocated at the
@@ -90,7 +93,8 @@ private[core] final class LongIntMap(expected: Int) {
   * array over the used prefix (dead edges included, so every link stays
   * valid), and the write-once columns are shared with the source until the
   * copy's first `addEdge` (copy-on-write);
-  * `copyRange(ts, te)` compacts the window's edges, vertices and pairs into
+  * `copyRange(ts, te)` finds the window's edge slots by binary search on the
+  * timestamps and compacts its alive edges, their vertices and pairs into
   * fresh ids through array remaps, so the result is sized by the window, not
   * by the source. Over the whole timeline it rebuilds a TEL compactly: a TCQ
   * row source, kept peeled, is replaced by such a rebuild once fewer than half
@@ -100,26 +104,23 @@ private[core] final class LongIntMap(expected: Int) {
   * arrays the first time one of those is called.
   *
   * Instances are single-threaded and mutable. `addEdge` implements the
-  * dynamic-graph extension (§6.1): timestamps may only append at the tail of
-  * the timeline.
+  * dynamic-graph extension (§6.1): timestamps may only append at or after the
+  * last appended one.
   *
   * @param h link-strength lower bound (§6.2); 1 = plain TCQ semantics
   */
 final class TEL private (val h: Int, edgeCapacity: Int) {
-  import TEL.{arrayBytes, pairKey}
+  import TEL.{Dead, arrayBytes, pairKey}
   require(h >= 1, s"link strength h must be >= 1, got $h")
 
-  // ---- edges: local ids [0, nEdges); deleted edges keep their slot ----
-  private var eu, ev, etn, epair: Array[Int] = new Array[Int](edgeCapacity)
+  // ---- edges: local ids [0, nEdges) in timestamp order; a deleted edge
+  // keeps its slot, with tlPrev = Dead ----
+  private var eu, ev, et, epair: Array[Int] = new Array[Int](edgeCapacity)
   private var tlNext, tlPrev, plNext, plPrev: Array[Int] = new Array[Int](edgeCapacity)
   private var nEdges = 0
   private var nAlive = 0
-
-  // ---- time nodes (one per distinct timestamp, linked ascending) ----
-  private var tVals, tnNext, tnPrev, tlHead, tlTail: Array[Int] = new Array[Int](16)
-  private var nTimeNodes = 0
-  private var headTn = -1
-  private var tailTn = -1
+  private var head = -1 // first and last alive edge: the ends of the timeline
+  private var tail = -1
 
   // ---- vertices: local ids [0, nVerts), external id in `ext` ----
   private var ext: Array[Long] = new Array[Long](16)
@@ -130,9 +131,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   // ---- vertex pairs: strength = number of alive parallel edges ----
   private var plHead, strength: Array[Int] = new Array[Int](16)
   private var nlNext, nlPrev: Array[Int] = new Array[Int](32) // by pair end 2p, 2p + 1
-  private var pending: Array[Boolean] = new Array[Boolean](16) // queued for a §6.2 purge
   private var nPairs = 0
-  private var purge: Array[Int] = new Array[Int](16) // stack of pending pairs
+  private var purge: Array[Int] = new Array[Int](16) // stack of pairs queued for a §6.2 purge
   private var nPurge = 0
 
   private var peelK = 0                     // k of the last decompose; 0 = rescan
@@ -140,8 +140,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
   private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
-  // False while the write-once columns (eu, ev, etn, epair, tVals, ext) are
-  // shared with the TEL this one was copied from; the first addEdge copies them.
+  // False while the write-once columns (eu, ev, et, epair, ext) are shared
+  // with the TEL this one was copied from; the first addEdge copies them.
   private var ownsColumns = true
 
   // ---------------------------------------------------------------- queries
@@ -166,17 +166,20 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   }
 
   /** `get_TTI` (Table 1): head and tail of the timeline, O(1). */
-  def tti: Option[Interval] =
-    if (nAlive == 0) None else Some(Interval(tVals(headTn), tVals(tailTn)))
+  def tti: Option[Interval] = if (nAlive == 0) None else Some(Interval(et(head), et(tail)))
 
   /** Largest alive timestamp, O(1); None when empty. */
-  def maxTimestamp: Option[Int] = if (nAlive == 0) None else Some(tVals(tailTn))
+  def maxTimestamp: Option[Int] = if (nAlive == 0) None else Some(et(tail))
 
   /** Alive distinct timestamps in ascending order (walks the timeline). */
   def timestamps: Vector[Int] = {
     val b = Vector.newBuilder[Int]
-    var tn = headTn
-    while (tn != -1) { b += tVals(tn); tn = tnNext(tn) }
+    var e = head
+    while (e != -1) {
+      val t = et(e)
+      b += t
+      while (e != -1 && et(e) == t) e = tlNext(e)
+    }
     b.result()
   }
 
@@ -196,30 +199,26 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private def aliveIds(): Array[Int] = {
     val ids = new Array[Int](nAlive)
     var n = 0
-    var tn = headTn
-    while (tn != -1) {
-      var e = tlHead(tn)
-      while (e != -1) { ids(n) = e; n += 1; e = tlNext(e) }
-      tn = tnNext(tn)
-    }
+    var e = head
+    while (e != -1) { ids(n) = e; n += 1; e = tlNext(e) }
     ids
   }
 
   /** Builds the edges `ids` from the write-once columns as they are now.
     * The builder holds the column arrays, not this TEL: slots below the
-    * current counts are never written again (`append`, `addTimeNode` and
-    * `newVertex` write only fresh slots; growth and copy-on-write move to new
-    * arrays), so it returns the same edges however this TEL changes later.
+    * current counts are never written again (`append` and `newVertex` write
+    * only fresh slots; growth and copy-on-write move to new arrays), so it
+    * returns the same edges however this TEL changes later.
     */
   private def slice(ids: Array[Int]): () => Vector[TemporalEdge] = {
-    val u = eu; val v = ev; val tn = etn; val t = tVals; val x = ext
+    val u = eu; val v = ev; val t = et; val x = ext
     () => {
       val b = Vector.newBuilder[TemporalEdge]
       b.sizeHint(ids.length)
       var i = 0
       while (i < ids.length) {
         val e = ids(i)
-        b += TemporalEdge(x(u(e)), x(v(e)), t(tn(e)))
+        b += TemporalEdge(x(u(e)), x(v(e)), t(e))
         i += 1
       }
       b.result()
@@ -230,27 +229,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   private def growEdges(): Unit = {
     val cap = math.max(16, eu.length * 2)
-    eu = copyOf(eu, cap); ev = copyOf(ev, cap); etn = copyOf(etn, cap); epair = copyOf(epair, cap)
+    eu = copyOf(eu, cap); ev = copyOf(ev, cap); et = copyOf(et, cap); epair = copyOf(epair, cap)
     tlNext = copyOf(tlNext, cap); tlPrev = copyOf(tlPrev, cap)
     plNext = copyOf(plNext, cap); plPrev = copyOf(plPrev, cap)
-  }
-
-  /** `add_TL(t)` (§6.1): appends a new time node at the tail. The caller
-    * guarantees `t` is strictly greater than every existing timestamp.
-    */
-  private def addTimeNode(t: Int): Int = {
-    if (nTimeNodes == tVals.length) {
-      val cap = math.max(16, tVals.length * 2)
-      tVals = copyOf(tVals, cap); tnNext = copyOf(tnNext, cap); tnPrev = copyOf(tnPrev, cap)
-      tlHead = copyOf(tlHead, cap); tlTail = copyOf(tlTail, cap)
-    }
-    val tn = nTimeNodes
-    nTimeNodes += 1
-    tVals(tn) = t; tlHead(tn) = -1; tlTail(tn) = -1
-    tnNext(tn) = -1; tnPrev(tn) = tailTn
-    if (tailTn != -1) tnNext(tailTn) = tn else headTn = tn
-    tailTn = tn
-    tn
   }
 
   /** The local vertex of external id `id`; a fresh one if there is none. */
@@ -281,17 +262,16 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private def newPair(): Int = {
     if (nPairs == plHead.length) {
       val cap = math.max(16, plHead.length * 2)
-      plHead = copyOf(plHead, cap); strength = copyOf(strength, cap); pending = copyOf(pending, cap)
+      plHead = copyOf(plHead, cap); strength = copyOf(strength, cap)
       nlNext = copyOf(nlNext, 2 * cap); nlPrev = copyOf(nlPrev, 2 * cap)
     }
     val p = nPairs
     nPairs += 1
-    plHead(p) = -1; strength(p) = 0; pending(p) = false
+    plHead(p) = -1; strength(p) = 0
     p
   }
 
   private def queuePurge(p: Int): Unit = {
-    pending(p) = true
     if (nPurge == purge.length) purge = copyOf(purge, math.max(16, purge.length * 2))
     purge(nPurge) = p
     nPurge += 1
@@ -335,46 +315,48 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   private def ownColumns(): Unit = if (!ownsColumns) {
     eu = copyOf(eu, nEdges); ev = copyOf(ev, nEdges)
-    etn = copyOf(etn, nEdges); epair = copyOf(epair, nEdges)
-    tVals = copyOf(tVals, nTimeNodes); ext = copyOf(ext, nVerts)
+    et = copyOf(et, nEdges); epair = copyOf(epair, nEdges)
+    ext = copyOf(ext, nVerts)
     ownsColumns = true
   }
 
-  /** Appends edge `(u, v, t)` of pair `p` in local ids: the tail of TL(t)
-    * and the head of PL(p), plus the strength update; a pair's first alive
-    * edge also links its ends onto NL(u) and NL(v).
+  /** Appends edge `(u, v, t)` of pair `p` in local ids: the tail of the
+    * timeline and the head of PL(p), plus the strength update; a pair's
+    * first alive edge also links its ends onto NL(u) and NL(v). The caller
+    * keeps `t` no earlier than the last appended edge's.
     */
   private def append(u: Int, v: Int, p: Int, t: Int): Unit = {
     if (nEdges == eu.length) growEdges()
     val e = nEdges
     nEdges += 1
     nAlive += 1
-    val tn = if (tailTn != -1 && tVals(tailTn) == t) tailTn else addTimeNode(t)
-    eu(e) = u; ev(e) = v; etn(e) = tn; epair(e) = p
-    tlNext(e) = -1; tlPrev(e) = tlTail(tn)
-    if (tlTail(tn) != -1) tlNext(tlTail(tn)) = e else tlHead(tn) = e
-    tlTail(tn) = e
+    eu(e) = u; ev(e) = v; et(e) = t; epair(e) = p
+    tlNext(e) = -1; tlPrev(e) = tail
+    if (tail != -1) tlNext(tail) = e else head = e
+    tail = e
     plPrev(e) = -1; plNext(e) = plHead(p)
     if (plHead(p) != -1) plPrev(plHead(p)) = e
     plHead(p) = e
     val c = strength(p) + 1
     strength(p) = c
-    if (c == 1) { linkEnd(2 * p, math.min(u, v)); linkEnd(2 * p + 1, math.max(u, v)) }
-    // Pairs below the strength bound are purge-pending from the start;
-    // reaching h cancels the pending flag (stale stack entries are skipped).
-    if (c < h) { if (!pending(p)) queuePurge(p) }
-    else if (c == h) pending(p) = false
+    if (c == 1) {
+      linkEnd(2 * p, math.min(u, v)); linkEnd(2 * p + 1, math.max(u, v))
+      // A pair below the strength bound is queued for a purge from its first
+      // edge on; `drainPurges` skips it if it has reached h by then.
+      if (c < h) queuePurge(p)
+    }
   }
 
   /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`,
     * non-negative ids (the id dictionary keeps -1 as its empty key), and `t`
-    * no earlier than the current maximum timestamp.
+    * no earlier than the last appended edge's timestamp, alive or not, so
+    * edge ids stay in timestamp order.
     */
   def addEdge(u: Long, v: Long, t: Int): Unit = {
     require(u != v, s"self-loop ($u,$v,$t) not allowed")
     require(u >= 0 && v >= 0, s"vertex ids must be non-negative, got ($u,$v)")
-    require(tailTn == -1 || t >= tVals(tailTn),
-      s"timestamps must be appended in order: $t < ${tVals(tailTn)}")
+    require(nEdges == 0 || t >= et(nEdges - 1),
+      s"timestamps must be appended in order: $t < ${et(nEdges - 1)}")
     dictionaries()
     ownColumns()
     // New or revived vertices may sit below k without ever crossing it.
@@ -386,35 +368,26 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   // -------------------------------------------------------------- deletion
 
-  private def removeTimeNode(tn: Int): Unit = {
-    val p = tnPrev(tn); val nx = tnNext(tn)
-    if (p != -1) tnNext(p) = nx else headTn = nx
-    if (nx != -1) tnPrev(nx) = p else tailTn = p
-  }
-
-  /** `del_edge(e)` (Table 1): O(1) unlink of an alive edge from TL and PL
-    * plus strength bookkeeping; a pair's last alive edge also unlinks its
-    * ends from NL. Pairs whose strength drops into `(0, h)` are queued for
-    * purging (§6.2); `drainPurges()` completes the cascade.
+  /** `del_edge(e)` (Table 1): O(1) unlink of an alive edge from the timeline
+    * and PL, marking its slot dead, plus strength bookkeeping; a pair's last
+    * alive edge also unlinks its ends from NL. A pair whose strength drops
+    * to `h - 1 > 0` is queued for purging (§6.2); `drainPurges()` completes
+    * the cascade.
     */
   private def delEdge(e: Int): Unit = {
     nAlive -= 1
     val u = eu(e); val v = ev(e); val p = epair(e)
-    // TL unlink; del_TL once its last edge dies
-    val tn = etn(e)
     val tp = tlPrev(e); val tx = tlNext(e)
-    if (tp != -1) tlNext(tp) = tx else tlHead(tn) = tx
-    if (tx != -1) tlPrev(tx) = tp else tlTail(tn) = tp
-    if (tlHead(tn) == -1) removeTimeNode(tn)
+    if (tp != -1) tlNext(tp) = tx else head = tx
+    if (tx != -1) tlPrev(tx) = tp else tail = tp
+    tlPrev(e) = Dead
     val pp = plPrev(e); val px = plNext(e)
     if (pp != -1) plNext(pp) = px else plHead(p) = px
     if (px != -1) plPrev(px) = pp
     val c = strength(p) - 1
     strength(p) = c
-    if (c == 0) {
-      pending(p) = false
-      unlinkEnd(2 * p, math.min(u, v)); unlinkEnd(2 * p + 1, math.max(u, v))
-    } else if (c < h && !pending(p)) queuePurge(p)
+    if (c == 0) { unlinkEnd(2 * p, math.min(u, v)); unlinkEnd(2 * p + 1, math.max(u, v)) }
+    else if (c == h - 1) queuePurge(p)
   }
 
   /** Deletes every alive edge of pair `p` through PL(p). */
@@ -423,34 +396,29 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     while (e != -1) { val nx = plNext(e); delEdge(e); e = nx }
   }
 
-  /** Deletes every remaining edge of pairs whose strength fell below `h`
-    * (the modified TCD of §6.2). A no-op when `h == 1`. A pair stays pending
-    * while its edges go, so it is not queued again; its last deletion clears
-    * the flag.
+  /** Deletes every remaining edge of the queued pairs whose strength is in
+    * `(0, h)` (the modified TCD of §6.2); a pair that has regained `h` or
+    * lost its last edge since it was queued is skipped. A no-op when
+    * `h == 1`. A pair is queued only on entering `(0, h)`, so its own purge
+    * does not queue it again.
     */
   private def drainPurges(): Unit = {
     while (nPurge > 0) {
       nPurge -= 1
       val p = purge(nPurge)
-      if (pending(p)) deletePair(p)
+      val c = strength(p)
+      if (c > 0 && c < h) deletePair(p)
     }
   }
 
   // --------------------------------------------------------- TCD operation
 
-  /** Truncation phase of TCD (Algorithm 4 lines 1–14): remove every TL with
-    * timestamp outside `[ts, te]`, walking the timeline from both ends.
+  /** Truncation phase of TCD (Algorithm 4 lines 1–14): remove every edge
+    * with timestamp outside `[ts, te]`, from both ends of the timeline.
     */
   def truncate(ts: Int, te: Int): Unit = {
-    while (headTn != -1 && tVals(headTn) < ts) {
-      var e = tlHead(headTn)
-      // Deleting the TL's last edge removes the time node and advances headTn.
-      while (e != -1) { val nx = tlNext(e); delEdge(e); e = nx }
-    }
-    while (tailTn != -1 && tVals(tailTn) > te) {
-      var e = tlHead(tailTn)
-      while (e != -1) { val nx = tlNext(e); delEdge(e); e = nx }
-    }
+    while (head != -1 && et(head) < ts) delEdge(head)
+    while (tail != -1 && et(tail) > te) delEdge(tail)
     drainPurges()
   }
 
@@ -494,21 +462,18 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   /** Fresh TEL holding only the alive edges with timestamps in `[ts, te]` —
     * the paper's "copy of TEL(G[Ts,Te]) obtained by truncating TEL(G)"
-    * (§5.2) without mutating the source. Edges, vertices and pairs of the
-    * window get fresh dense ids through two `Int` remaps indexed by this
-    * TEL's vertex and pair ids, so the cost is O(|E_[ts,te]|) plus one pass
-    * over the remaps and a pointer walk over the timeline prefix.
+    * (§5.2) without mutating the source. The window's edge slots are one id
+    * range, found by binary search on the timestamps; its alive edges,
+    * vertices and pairs get fresh dense ids through two `Int` remaps indexed
+    * by this TEL's vertex and pair ids. The cost is O(slots in the window)
+    * plus one pass over the remaps.
     */
   def copyRange(ts: Int, te: Int): TEL = {
-    var first = headTn
-    while (first != -1 && tVals(first) < ts) first = tnNext(first)
+    val from = firstSlotAt(ts)
+    val until = firstSlotAt(te + 1L) // a Long, so te = Int.MaxValue does not wrap
     var m = 0
-    var tn = first
-    while (tn != -1 && tVals(tn) <= te) {
-      var e = tlHead(tn)
-      while (e != -1) { m += 1; e = tlNext(e) }
-      tn = tnNext(tn)
-    }
+    var e = from
+    while (e < until) { if (tlPrev(e) != Dead) m += 1; e += 1 }
     val t = new TEL(h, m)
     val vertexOf = new Array[Int](nVerts) // local vertex here -> local vertex in t, or -1
     val pairOf = new Array[Int](nPairs)   // pair here -> pair in t, or -1
@@ -518,20 +483,31 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
       if (vertexOf(x) < 0) vertexOf(x) = t.newVertex(ext(x))
       vertexOf(x)
     }
-    tn = first
-    while (tn != -1 && tVals(tn) <= te) {
-      var e = tlHead(tn)
-      while (e != -1) {
+    e = from
+    while (e < until) {
+      if (tlPrev(e) != Dead) {
         val a = vertex(eu(e))
         val b = vertex(ev(e))
         val p = epair(e)
         if (pairOf(p) < 0) pairOf(p) = t.newPair()
-        t.append(a, b, pairOf(p), tVals(tn))
-        e = tlNext(e)
+        t.append(a, b, pairOf(p), et(e))
       }
-      tn = tnNext(tn)
+      e += 1
     }
     t
+  }
+
+  /** The first edge slot, alive or dead, with timestamp at least `t`
+    * (`nEdges` if none), by binary search: slots ascend with timestamps.
+    */
+  private def firstSlotAt(t: Long): Int = {
+    var lo = 0
+    var hi = nEdges
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (et(mid) < t) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 
   /** True once fewer than half of the edge slots hold alive edges: the point
@@ -542,26 +518,21 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   /** Independent copy: one array copy per mutable array over the used
     * prefix, O(slots used) with no hashing. The write-once columns (edge
-    * endpoints, time nodes, pair slots, timestamps and external ids) are
-    * shared with this TEL until the copy's first `addEdge`. The copy starts
-    * without the peel stack and dictionaries and builds them when first
-    * needed.
+    * endpoints, timestamps, pair slots and external ids) are shared with
+    * this TEL until the copy's first `addEdge`. The copy starts without the
+    * peel stack and dictionaries and builds them when first needed.
     */
   def copy(): TEL = {
     val t = new TEL(h, 0)
-    t.eu = eu; t.ev = ev; t.etn = etn; t.epair = epair
-    t.tVals = tVals; t.ext = ext; t.ownsColumns = false
+    t.eu = eu; t.ev = ev; t.et = et; t.epair = epair
+    t.ext = ext; t.ownsColumns = false
     t.tlNext = copyOf(tlNext, nEdges); t.tlPrev = copyOf(tlPrev, nEdges)
     t.plNext = copyOf(plNext, nEdges); t.plPrev = copyOf(plPrev, nEdges)
-    t.nEdges = nEdges; t.nAlive = nAlive
-    t.tnNext = copyOf(tnNext, nTimeNodes)
-    t.tnPrev = copyOf(tnPrev, nTimeNodes)
-    t.tlHead = copyOf(tlHead, nTimeNodes); t.tlTail = copyOf(tlTail, nTimeNodes)
-    t.nTimeNodes = nTimeNodes; t.headTn = headTn; t.tailTn = tailTn
+    t.nEdges = nEdges; t.nAlive = nAlive; t.head = head; t.tail = tail
     t.nlHead = copyOf(nlHead, nVerts); t.degree = copyOf(degree, nVerts)
     t.nVerts = nVerts; t.nLive = nLive
     t.plHead = copyOf(plHead, nPairs); t.strength = copyOf(strength, nPairs)
-    t.pending = copyOf(pending, nPairs); t.nPairs = nPairs
+    t.nPairs = nPairs
     t.nlNext = copyOf(nlNext, 2 * nPairs); t.nlPrev = copyOf(nlPrev, 2 * nPairs)
     t.purge = copyOf(purge, nPurge); t.nPurge = nPurge
     t
@@ -575,10 +546,10 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   def memoryFootprintBytes: Long = {
     val owned = if (ownsColumns) arrayBytes(ext.length, 8) +
-      Seq(eu, ev, etn, epair, tVals).map(a => arrayBytes(a.length, 4)).sum else 0L
-    val ints = Seq(tlNext, tlPrev, plNext, plPrev, tnNext, tnPrev, tlHead, tlTail,
-      nlHead, degree, plHead, strength, nlNext, nlPrev, purge)
-    owned + ints.map(a => arrayBytes(a.length, 4)).sum + arrayBytes(pending.length, 1) +
+      Seq(eu, ev, et, epair).map(a => arrayBytes(a.length, 4)).sum else 0L
+    val ints = Seq(tlNext, tlPrev, plNext, plPrev, nlHead, degree, plHead, strength,
+      nlNext, nlPrev, purge)
+    owned + ints.map(a => arrayBytes(a.length, 4)).sum +
       Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes) +
       Option(below).fold(0L)(a => arrayBytes(a.length, 4))
   }
@@ -604,6 +575,9 @@ object TEL {
 
   /** An empty, dynamically growable TEL (dynamic-graph extension, §6.1). */
   def empty(h: Int = 1): TEL = new TEL(h, 16)
+
+  /** `tlPrev` of a deleted edge's slot. */
+  private final val Dead = -2
 
   private def pairKey(a: Int, b: Int): Long = TemporalEdge.pairKey(a.toLong, b.toLong)
 

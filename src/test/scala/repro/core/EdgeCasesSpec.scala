@@ -56,6 +56,18 @@ class EdgeCasesSpec extends AnyFunSuite {
     }
   }
 
+  test("a negative maxSpan is rejected at the API boundary with the offending value") {
+    val engine = new TELEngine(tri)
+    for (s <- Seq(-1, Int.MinValue)) {
+      val msgs = Seq(
+        intercept[IllegalArgumentException](OTCD.run(engine, 2, Interval(1, 6), Some(s))),
+        intercept[IllegalArgumentException](TCD.run(engine, 2, Interval(1, 6), Some(s))),
+        intercept[IllegalArgumentException](NaiveTCQ.run(tri, 2, Interval(1, 6), maxSpan = Some(s))))
+      msgs.foreach(e => assert(e.getMessage.contains(s"maxSpan must be >= 0, got $s"), e.getMessage))
+    }
+    assert(OTCD.run(engine, 2, Interval(1, 6), Some(0)).count == 1)
+  }
+
   test("empty edge list") {
     assert(OTCD.run(new TELEngine(Vector.empty[TemporalEdge]), 2, Interval(1, 5)).count == 0)
     assert(NaiveTCQ.run(Vector.empty[TemporalEdge], 2, Interval(1, 5)).isEmpty)

@@ -73,6 +73,17 @@ class TELSpec extends AnyFunSuite {
     assert(t.numAliveEdges == 3)
   }
 
+  test("addEdge rejects a timestamp below the last appended edge, even after truncate removed it") {
+    val t = tel(Vector(TemporalEdge(1, 2, 3), TemporalEdge(2, 3, 7)))
+    t.truncate(Int.MinValue, 5) // the tail edge at 7 is gone
+    assert(t.maxTimestamp.contains(3))
+    val err = intercept[IllegalArgumentException](t.addEdge(3, 4, 5))
+    assert(err.getMessage.contains("5 < 7"), err.getMessage)
+    t.addEdge(3, 4, 7)
+    assert(t.edges == Vector(TemporalEdge(1, 2, 3), TemporalEdge(3, 4, 7)))
+    assert(t.timestamps == Vector(3, 7))
+  }
+
   test("truncate drops head timestamps") {
     val t = tel(TestGraphs.example)
     t.truncate(3, Int.MaxValue)
@@ -306,7 +317,7 @@ class TELSpec extends AnyFunSuite {
     assert(dyn.snapshot().map(_.canonicalKey) == static.snapshot().map(_.canonicalKey))
   }
 
-  test("dynamic append creates new time nodes at the tail") {
+  test("dynamic append extends the timeline at the tail") {
     val t = tel(Vector(TemporalEdge(1, 2, 3)))
     t.addEdge(2, 3, 7)
     assert(t.timestamps == Vector(3, 7))
