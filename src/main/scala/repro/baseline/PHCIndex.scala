@@ -55,6 +55,7 @@ object PHCIndex {
     * set of distinct timestamps in the window.
     */
   def build(edges: IndexedSeq[TemporalEdge], k: Int, window: Interval): PHCIndex = {
+    require(k >= 1, s"k must be >= 1, got $k")
     val inWindow = edges.filter(e => e.t >= window.ts && e.t <= window.te)
     val byTs: Map[Int, IndexedSeq[TemporalEdge]] = inWindow.groupBy(_.t)
     val distinct = byTs.keys.toArray.sorted

@@ -119,6 +119,7 @@ object NaiveTCQ {
       window: Interval,
       h: Int = 1,
       maxSpan: Option[Int] = None): Vector[CoreResult] = {
+    require(k >= 1, s"k must be >= 1, got $k")
     TCQ.requireSpan(maxSpan)
     val seen = mutable.HashSet.empty[Vector[(Long, Long, Int)]]
     val out = Vector.newBuilder[CoreResult]

@@ -64,16 +64,19 @@ private[core] final class LongIntMap(expected: Int) {
   * appearance, and an id table maps local vertices back to their external
   * `Long` ids for output. Edge ids ascend with timestamps: `addEdge` and
   * `copyRange` append in time order, and `copy()` keeps ids. Three kinds of
-  * intrusive doubly-linked list thread the graph:
+  * intrusive list thread the graph:
   *
-  *   - '''The timeline''' — every alive edge in id, hence timestamp, order.
-  *     The paper's TL(t) is the list's run of edges at `t`. Its head and
-  *     tail give `get_TTI` in O(1), and truncation deletes from either end,
-  *     so the paper's `del_TL` is a run of `del_edge`s (Table 1).
-  *   - '''PL(p)''' — all parallel edges of vertex pair `p`. The link-strength
-  *     extension (§6.2) purges a weakening pair through it, and a peel
-  *     deletes every pair of the peeled vertex through it, each in time
-  *     linear in the pair's remaining edges.
+  *   - '''The timeline''' — every alive edge in id, hence timestamp, order,
+  *     doubly linked. The paper's TL(t) is the list's run of edges at `t`.
+  *     Its head and tail give `get_TTI` in O(1), and truncation deletes from
+  *     either end, so the paper's `del_TL` is a run of `del_edge`s (Table 1).
+  *   - '''PL(p)''' — the parallel edges of pair `p`, a singly linked chain
+  *     from `plHead(p)` with write-once links: an appended edge links to the
+  *     pair's newest ''alive'' edge. An edge dies only at an end of the
+  *     timeline, as its pair's oldest or newest alive edge, or with its whole
+  *     pair, so the first `strength(p)` edges of the chain are exactly `p`'s
+  *     alive edges, newest first. The §6.2 purge and a peel delete a pair
+  *     through it, in time linear in the pair's remaining edges.
   *   - '''NL(v)''' — the pairs of `v` that hold an alive edge, in place of
   *     the paper's SL(v) / DL(v). Pair `p` has two ends: `2p` sits on its
   *     lower local endpoint, `2p + 1` on its higher one. Both are linked when
@@ -91,8 +94,8 @@ private[core] final class LongIntMap(expected: Int) {
   *
   * Copies cost no hashing. `copy()` is one `System.arraycopy` per mutable
   * array over the used prefix (dead edges included, so every link stays
-  * valid), and the write-once columns are shared with the source until the
-  * copy's first `addEdge` (copy-on-write);
+  * valid), and the write-once columns, PL's links among them, are shared
+  * with the source until the copy's first `addEdge` (copy-on-write);
   * `copyRange(ts, te)` finds the window's edge slots by binary search on the
   * timestamps and compacts its alive edges, their vertices and pairs into
   * fresh ids through array remaps, so the result is sized by the window, not
@@ -114,9 +117,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   require(h >= 1, s"link strength h must be >= 1, got $h")
 
   // ---- edges: local ids [0, nEdges) in timestamp order; a deleted edge
-  // keeps its slot, with tlPrev = Dead ----
-  private var eu, ev, et, epair: Array[Int] = new Array[Int](edgeCapacity)
-  private var tlNext, tlPrev, plNext, plPrev: Array[Int] = new Array[Int](edgeCapacity)
+  // keeps its slot, with tlPrev = Dead. The first five are write-once ----
+  private var eu, ev, et, epair, plNext: Array[Int] = new Array[Int](edgeCapacity)
+  private var tlNext, tlPrev: Array[Int] = new Array[Int](edgeCapacity)
   private var nEdges = 0
   private var nAlive = 0
   private var head = -1 // first and last alive edge: the ends of the timeline
@@ -128,7 +131,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nVerts = 0
   private var nLive = 0 // vertices with degree > 0
 
-  // ---- vertex pairs: strength = number of alive parallel edges ----
+  // ---- vertex pairs: strength = alive parallel edges, plHead = the newest ----
   private var plHead, strength: Array[Int] = new Array[Int](16)
   private var nlNext, nlPrev: Array[Int] = new Array[Int](32) // by pair end 2p, 2p + 1
   private var nPairs = 0
@@ -140,8 +143,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
   private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
-  // False while the write-once columns (eu, ev, et, epair, ext) are shared
-  // with the TEL this one was copied from; the first addEdge copies them.
+  // False while the write-once columns (eu, ev, et, epair, plNext, ext) are
+  // shared with the TEL this one was copied from; the first addEdge copies them.
   private var ownsColumns = true
 
   // ---------------------------------------------------------------- queries
@@ -230,8 +233,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private def growEdges(): Unit = {
     val cap = math.max(16, eu.length * 2)
     eu = copyOf(eu, cap); ev = copyOf(ev, cap); et = copyOf(et, cap); epair = copyOf(epair, cap)
-    tlNext = copyOf(tlNext, cap); tlPrev = copyOf(tlPrev, cap)
-    plNext = copyOf(plNext, cap); plPrev = copyOf(plPrev, cap)
+    plNext = copyOf(plNext, cap); tlNext = copyOf(tlNext, cap); tlPrev = copyOf(tlPrev, cap)
   }
 
   /** The local vertex of external id `id`; a fresh one if there is none. */
@@ -315,7 +317,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   private def ownColumns(): Unit = if (!ownsColumns) {
     eu = copyOf(eu, nEdges); ev = copyOf(ev, nEdges)
-    et = copyOf(et, nEdges); epair = copyOf(epair, nEdges)
+    et = copyOf(et, nEdges); epair = copyOf(epair, nEdges); plNext = copyOf(plNext, nEdges)
     ext = copyOf(ext, nVerts)
     ownsColumns = true
   }
@@ -334,9 +336,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     tlNext(e) = -1; tlPrev(e) = tail
     if (tail != -1) tlNext(tail) = e else head = e
     tail = e
-    plPrev(e) = -1; plNext(e) = plHead(p)
-    if (plHead(p) != -1) plPrev(plHead(p)) = e
-    plHead(p) = e
+    plNext(e) = plHead(p); plHead(p) = e
     val c = strength(p) + 1
     strength(p) = c
     if (c == 1) {
@@ -368,11 +368,12 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   // -------------------------------------------------------------- deletion
 
-  /** `del_edge(e)` (Table 1): O(1) unlink of an alive edge from the timeline
-    * and PL, marking its slot dead, plus strength bookkeeping; a pair's last
-    * alive edge also unlinks its ends from NL. A pair whose strength drops
-    * to `h - 1 > 0` is queued for purging (§6.2); `drainPurges()` completes
-    * the cascade.
+  /** `del_edge(e)` (Table 1): O(1) unlink of an alive edge from the timeline,
+    * marking its slot dead, plus strength bookkeeping. `e` must be its pair's
+    * oldest or newest alive edge; PL then needs only its head moved off `e`
+    * (see the class doc). A pair's last alive edge also unlinks its ends
+    * from NL. A pair whose strength drops to `h - 1 > 0` is queued for
+    * purging (§6.2); `drainPurges()` completes the cascade.
     */
   private def delEdge(e: Int): Unit = {
     nAlive -= 1
@@ -381,20 +382,15 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     if (tp != -1) tlNext(tp) = tx else head = tx
     if (tx != -1) tlPrev(tx) = tp else tail = tp
     tlPrev(e) = Dead
-    val pp = plPrev(e); val px = plNext(e)
-    if (pp != -1) plNext(pp) = px else plHead(p) = px
-    if (px != -1) plPrev(px) = pp
+    if (plHead(p) == e) plHead(p) = plNext(e)
     val c = strength(p) - 1
     strength(p) = c
     if (c == 0) { unlinkEnd(2 * p, math.min(u, v)); unlinkEnd(2 * p + 1, math.max(u, v)) }
     else if (c == h - 1) queuePurge(p)
   }
 
-  /** Deletes every alive edge of pair `p` through PL(p). */
-  private def deletePair(p: Int): Unit = {
-    var e = plHead(p)
-    while (e != -1) { val nx = plNext(e); delEdge(e); e = nx }
-  }
+  /** Deletes every alive edge of pair `p`, newest first, at PL(p)'s head. */
+  private def deletePair(p: Int): Unit = while (strength(p) > 0) delEdge(plHead(p))
 
   /** Deletes every remaining edge of the queued pairs whose strength is in
     * `(0, h)` (the modified TCD of §6.2); a pair that has regained `h` or
@@ -518,16 +514,16 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   /** Independent copy: one array copy per mutable array over the used
     * prefix, O(slots used) with no hashing. The write-once columns (edge
-    * endpoints, timestamps, pair slots and external ids) are shared with
-    * this TEL until the copy's first `addEdge`. The copy starts without the
-    * peel stack and dictionaries and builds them when first needed.
+    * endpoints, timestamps, pair slots, PL links and external ids) are
+    * shared with this TEL until the copy's first `addEdge`. The copy starts
+    * without the peel stack and dictionaries and builds them when first
+    * needed.
     */
   def copy(): TEL = {
     val t = new TEL(h, 0)
-    t.eu = eu; t.ev = ev; t.et = et; t.epair = epair
+    t.eu = eu; t.ev = ev; t.et = et; t.epair = epair; t.plNext = plNext
     t.ext = ext; t.ownsColumns = false
     t.tlNext = copyOf(tlNext, nEdges); t.tlPrev = copyOf(tlPrev, nEdges)
-    t.plNext = copyOf(plNext, nEdges); t.plPrev = copyOf(plPrev, nEdges)
     t.nEdges = nEdges; t.nAlive = nAlive; t.head = head; t.tail = tail
     t.nlHead = copyOf(nlHead, nVerts); t.degree = copyOf(degree, nVerts)
     t.nVerts = nVerts; t.nLive = nLive
@@ -546,9 +542,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   def memoryFootprintBytes: Long = {
     val owned = if (ownsColumns) arrayBytes(ext.length, 8) +
-      Seq(eu, ev, et, epair).map(a => arrayBytes(a.length, 4)).sum else 0L
-    val ints = Seq(tlNext, tlPrev, plNext, plPrev, nlHead, degree, plHead, strength,
-      nlNext, nlPrev, purge)
+      Seq(eu, ev, et, epair, plNext).map(a => arrayBytes(a.length, 4)).sum else 0L
+    val ints = Seq(tlNext, tlPrev, nlHead, degree, plHead, strength, nlNext, nlPrev, purge)
     owned + ints.map(a => arrayBytes(a.length, 4)).sum +
       Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes) +
       Option(below).fold(0L)(a => arrayBytes(a.length, 4))

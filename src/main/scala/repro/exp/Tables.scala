@@ -24,10 +24,11 @@ object Tables {
     * `get_SL`/`get_DL` have no counterpart, because the TEL keeps one
     * neighbour list NL(v) per vertex; the `degreeOf` column times its O(1)
     * size. `copy` is the row-source copy OTCD makes once per row (§5.2), per
-    * copied edge. `decompose` peels whole copies at a `k` above the maximum
-    * degree, per deleted edge. One untimed pass of every column at the first
-    * size runs first, so the first timed size does not pay for the JIT's
-    * first compilations.
+    * copied edge; every size copies the same number of edges, so a young GC
+    * that falls into the timing weighs alike at every size. `decompose`
+    * peels whole copies at a `k` above the maximum degree, per deleted edge.
+    * One untimed pass of every column at the first size runs first, so the
+    * first timed size does not pay for the JIT's first compilations.
     */
   def table1(): (Vector[Table1Row], String) = {
     val base = Datasets.generate(Datasets.flickr.name).edges
@@ -52,7 +53,7 @@ object Tables {
       // add_edge: rebuild from scratch, amortized per edge
       val (_, addMs) = Timing.time(TEL.fromEdges(edges))
       // copy: whole-TEL copies, amortized per copied edge
-      val copies = 20
+      val copies = 20 * sizes.last / n
       val (_, copyMs) = Timing.time {
         var i = 0; var acc = 0L
         while (i < copies) { acc += tel.copy().numAliveEdges; i += 1 }

@@ -49,10 +49,13 @@ class EdgeCasesSpec extends AnyFunSuite {
   test("k < 1 is rejected at the API boundary with the offending value") {
     val engine = new TELEngine(tri)
     for (k <- Seq(0, -1)) {
-      val otcd = intercept[IllegalArgumentException](OTCD.run(engine, k, Interval(1, 6)))
-      assert(otcd.getMessage.contains(s"got $k"))
-      val tcd = intercept[IllegalArgumentException](TCD.run(engine, k, Interval(1, 6)))
-      assert(tcd.getMessage.contains(s"got $k"))
+      // iPHC-Query takes its k from an index, which PHCIndex.build refuses.
+      val msgs = Seq(
+        intercept[IllegalArgumentException](OTCD.run(engine, k, Interval(1, 6))),
+        intercept[IllegalArgumentException](TCD.run(engine, k, Interval(1, 6))),
+        intercept[IllegalArgumentException](NaiveTCQ.run(tri, k, Interval(1, 6))),
+        intercept[IllegalArgumentException](PHCIndex.build(tri, k, Interval(1, 6))))
+      msgs.foreach(e => assert(e.getMessage.contains(s"k must be >= 1, got $k"), e.getMessage))
     }
   }
 

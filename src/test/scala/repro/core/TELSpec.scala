@@ -268,6 +268,21 @@ class TELSpec extends AnyFunSuite {
       step("truncate to the revived pairs")(t.truncate(3, 3))
       step("peel the star")(peel(1, 6))
       step("peel the star away")(peel(2, 0))
+      // A truncation that cuts part of (1,2)'s tail leaves it alive; the
+      // next append to it must link past the cut edges, or the peel that
+      // deletes the pair would delete them again.
+      step("revive a triangle and (3,4), (1,2) with a tail at 5") {
+        (two(1, 2, 4) ++ two(1, 3, 4) ++ two(2, 3, 4) ++ two(3, 4, 4) ++ two(2, 1, 5))
+          .foreach(e => t.addEdge(e.u, e.v, e.t))
+      }
+      step("truncate cuts (1,2)'s tail")(t.truncate(4, 4))
+      assert(t.strengthOf(1, 2) == 2)
+      step("append to the cut pair") {
+        Seq(TemporalEdge(1, 2, 6), TemporalEdge(4, 3, 6)).foreach(e => t.addEdge(e.u, e.v, e.t))
+      }
+      assert(t.strengthOf(1, 2) == 3)
+      step("peel (3,4) away, keeping the triangle")(peel(2, 7))
+      step("peel the triangle away")(peel(3, 0))
     }
   }
 
@@ -359,6 +374,13 @@ class TELSpec extends AnyFunSuite {
     val large = tel(TestGraphs.random(1, 100, 5000, 100))
     assert(small.memoryFootprintBytes > 0)
     assert(large.memoryFootprintBytes > small.memoryFootprintBytes)
+    // Fresh copies of two TELs with the same vertices and pairs, one with
+    // every edge doubled, differ only by their per-edge link slots: a copy
+    // shares PL's links with its source, so it holds two Int slots per edge.
+    val once = TestGraphs.random(2, 30, 200, 20)
+    val single = tel(once).copy()
+    val double = tel(once ++ once).copy()
+    assert(double.memoryFootprintBytes - single.memoryFootprintBytes == 2L * 4 * once.size)
   }
 
   test("negative vertex ids are rejected") {
