@@ -29,8 +29,9 @@ trait CoreEngine {
 
 /** [[CoreState]] over the paper's TEL. A state that is copied (TCQ's row
   * source) first replaces its TEL by a `copyRange` over the whole timeline
-  * once fewer than half of its edge slots are alive, so each copy is an
-  * array copy over a mostly-alive prefix. As with array doubling, a rebuild
+  * once fewer than half of its edge slots are alive, so each copy's vertex
+  * and pair arrays hold mostly live entries, and its timeline scans pass
+  * few dead slots. As with array doubling, a rebuild
   * follows at least as many deletions as it copies edges, so it costs O(1)
   * amortised per deleted edge.
   */

@@ -63,39 +63,40 @@ private[core] final class LongIntMap(expected: Int) {
   * ids: edges, vertices and vertex pairs are numbered in order of
   * appearance, and an id table maps local vertices back to their external
   * `Long` ids for output. Edge ids ascend with timestamps: `addEdge` and
-  * `copyRange` append in time order, and `copy()` keeps ids. Three kinds of
-  * intrusive list thread the graph:
+  * `copyRange` append in time order, and `copy()` keeps ids.
   *
-  *   - '''The timeline''' — every alive edge in id, hence timestamp, order,
-  *     doubly linked. The paper's TL(t) is the list's run of edges at `t`.
-  *     Its head and tail give `get_TTI` in O(1), and truncation deletes from
-  *     either end, so the paper's `del_TL` is a run of `del_edge`s (Table 1).
-  *   - '''PL(p)''' — the parallel edges of pair `p`, a singly linked chain
-  *     from `plHead(p)` with write-once links: an appended edge links to the
-  *     pair's newest ''alive'' edge. An edge dies only at an end of the
-  *     timeline, as its pair's oldest or newest alive edge, or with its whole
-  *     pair, so the first `strength(p)` edges of the chain are exactly `p`'s
-  *     alive edges, newest first. The §6.2 purge and a peel delete a pair
-  *     through it, in time linear in the pair's remaining edges.
-  *   - '''NL(v)''' — the pairs of `v` that hold an alive edge, in place of
-  *     the paper's SL(v) / DL(v). Pair `p` has two ends: `2p` sits on its
-  *     lower local endpoint, `2p + 1` on its higher one. Both are linked when
-  *     the pair gains its first alive edge and unlinked when it loses its
-  *     last, so |NL(v)| is `v`'s number of ''distinct neighbours'' (the
-  *     paper's degree) whatever the orientation of the pair's edges.
+  * '''The timeline''' is the slot range `[head, tail]`. The TEL deletes
+  * edges in two ways only: truncation at an end of the timeline, and a peel
+  * or a §6.2 purge of a whole pair. So an edge needs no links and no mark:
+  * edge `e` is alive iff `head <= e <= tail` and `strength(epair(e)) > 0`.
+  * Both ends always sit on alive edges (an empty TEL has `head = nEdges`,
+  * `tail = nEdges - 1`), which gives `get_TTI` in O(1); the paper's TL(t) is
+  * the timeline's run of alive edges at `t`, and its `del_TL` a run of
+  * `del_edge`s at an end (Table 1). A pair with strength `c > 0` has exactly
+  * `c` slots on the timeline, and deleting it is O(1): its strength drops to
+  * 0, which kills its remaining slots at once, and the ends then move inward
+  * past the dead slots they meet.
   *
-  * Every edge stores its endpoints, its pair slot and its timestamp, so
-  * `del_edge` and with it `truncate` and `decompose` touch arrays only. A
-  * deleted edge keeps its slot, marked dead.
+  * '''NL(v)''' — the pairs of `v` that hold an alive edge, in place of the
+  * paper's SL(v) / DL(v) — is the one intrusive list. Pair `p` has two ends:
+  * `2p` sits on its lower local endpoint, `2p + 1` on its higher one. Both
+  * are linked when the pair gains its first alive edge and unlinked when it
+  * loses its last, so |NL(v)| is `v`'s number of ''distinct neighbours''
+  * (the paper's degree) whatever the orientation of the pair's edges. A pair
+  * finds its endpoints through its first edge, `pairEdge(p)`.
+  *
+  * Every edge stores its endpoints, its pair slot and its timestamp, all
+  * written once, so `del_edge` and with it `truncate` and `decompose` touch
+  * arrays only. A deleted edge keeps its slot.
   * Decomposition peels with a fixed `k` instead of the paper's H_v min-heap:
   * a stack holds the vertices whose degree fell below the `k` of the last
   * `decompose`, and a degree change costs O(1). The stack is allocated at the
   * first `decompose`, so masters, which never peel, carry none.
   *
-  * Copies cost no hashing. `copy()` is one `System.arraycopy` per mutable
-  * array over the used prefix (dead edges included, so every link stays
-  * valid), and the write-once columns, PL's links among them, are shared
-  * with the source until the copy's first `addEdge` (copy-on-write);
+  * Copies cost no hashing. `copy()` is one `System.arraycopy` per
+  * per-vertex and per-pair array, O(|V| + pairs), and the write-once
+  * columns, every per-edge array among them, are shared with the source
+  * until the copy's first `addEdge` (copy-on-write);
   * `copyRange(ts, te)` finds the window's edge slots by binary search on the
   * timestamps and compacts its alive edges, their vertices and pairs into
   * fresh ids through array remaps, so the result is sized by the window, not
@@ -108,21 +109,22 @@ private[core] final class LongIntMap(expected: Int) {
   *
   * Instances are single-threaded and mutable. `addEdge` implements the
   * dynamic-graph extension (§6.1): timestamps may only append at or after the
-  * last appended one.
+  * last appended one, and only while every deleted edge comes before every
+  * alive one, so that no dead slot lies inside the grown timeline. Masters
+  * never delete, and TCQ's copies never append.
   *
   * @param h link-strength lower bound (§6.2); 1 = plain TCQ semantics
   */
 final class TEL private (val h: Int, edgeCapacity: Int) {
-  import TEL.{Dead, arrayBytes, pairKey}
+  import TEL.{arrayBytes, pairKey}
   require(h >= 1, s"link strength h must be >= 1, got $h")
 
-  // ---- edges: local ids [0, nEdges) in timestamp order; a deleted edge
-  // keeps its slot, with tlPrev = Dead. The first five are write-once ----
-  private var eu, ev, et, epair, plNext: Array[Int] = new Array[Int](edgeCapacity)
-  private var tlNext, tlPrev: Array[Int] = new Array[Int](edgeCapacity)
+  // ---- edges: local ids [0, nEdges) in timestamp order, all write-once;
+  // alive iff in [head, tail] with a pair of positive strength ----
+  private var eu, ev, et, epair: Array[Int] = new Array[Int](edgeCapacity)
   private var nEdges = 0
   private var nAlive = 0
-  private var head = -1 // first and last alive edge: the ends of the timeline
+  private var head = 0 // first and last alive edge: the ends of the timeline
   private var tail = -1
 
   // ---- vertices: local ids [0, nVerts), external id in `ext` ----
@@ -131,8 +133,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nVerts = 0
   private var nLive = 0 // vertices with degree > 0
 
-  // ---- vertex pairs: strength = alive parallel edges, plHead = the newest ----
-  private var plHead, strength: Array[Int] = new Array[Int](16)
+  // ---- vertex pairs: strength = alive parallel edges; pairEdge = the
+  // pair's first edge, write-once ----
+  private var pairEdge, strength: Array[Int] = new Array[Int](16)
   private var nlNext, nlPrev: Array[Int] = new Array[Int](32) // by pair end 2p, 2p + 1
   private var nPairs = 0
   private var purge: Array[Int] = new Array[Int](16) // stack of pairs queued for a §6.2 purge
@@ -143,7 +146,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
   private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
-  // False while the write-once columns (eu, ev, et, epair, plNext, ext) are
+  // False while the write-once columns (eu, ev, et, epair, pairEdge, ext) are
   // shared with the TEL this one was copied from; the first addEdge copies them.
   private var ownsColumns = true
 
@@ -174,23 +177,14 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** Largest alive timestamp, O(1); None when empty. */
   def maxTimestamp: Option[Int] = if (nAlive == 0) None else Some(et(tail))
 
-  /** Alive distinct timestamps in ascending order (walks the timeline). */
-  def timestamps: Vector[Int] = {
-    val b = Vector.newBuilder[Int]
-    var e = head
-    while (e != -1) {
-      val t = et(e)
-      b += t
-      while (e != -1 && et(e) == t) e = tlNext(e)
-    }
-    b.result()
-  }
+  /** Alive distinct timestamps in ascending order (scans the timeline). */
+  def timestamps: Vector[Int] = aliveIds().iterator.map(et(_)).distinct.toVector
 
   /** All alive edges in timeline order. */
   def edges: Vector[TemporalEdge] = slice(aliveIds())()
 
   /** Snapshot the current graph as a [[CoreResult]] handle (None when
-    * empty): one timeline walk freezes the alive edge ids, and the sizes are
+    * empty): one timeline scan freezes the alive edge ids, and the sizes are
     * the O(1) counters. The handle's edges are built from the write-once
     * columns on first read, so later `truncate`, `decompose` or `addEdge`
     * calls on this TEL or its copies do not change them.
@@ -198,12 +192,12 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   def snapshot(): Option[CoreResult] =
     tti.map(i => CoreResult.deferred(i, nLive, nAlive)(slice(aliveIds())))
 
-  /** Alive edge ids in timeline order, O(|E| alive). */
+  /** Alive edge ids in timeline order, O(slots in `[head, tail]`). */
   private def aliveIds(): Array[Int] = {
     val ids = new Array[Int](nAlive)
     var n = 0
     var e = head
-    while (e != -1) { ids(n) = e; n += 1; e = tlNext(e) }
+    while (e <= tail) { if (strength(epair(e)) > 0) { ids(n) = e; n += 1 }; e += 1 }
     ids
   }
 
@@ -233,7 +227,6 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private def growEdges(): Unit = {
     val cap = math.max(16, eu.length * 2)
     eu = copyOf(eu, cap); ev = copyOf(ev, cap); et = copyOf(et, cap); epair = copyOf(epair, cap)
-    plNext = copyOf(plNext, cap); tlNext = copyOf(tlNext, cap); tlPrev = copyOf(tlPrev, cap)
   }
 
   /** The local vertex of external id `id`; a fresh one if there is none. */
@@ -260,16 +253,18 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     x
   }
 
-  /** Allocates pair slot `nPairs`, with no edges, and returns it. */
+  /** Allocates pair slot `nPairs`, with no alive edges, and returns it. Its
+    * first edge is the next one appended, at slot `nEdges`.
+    */
   private def newPair(): Int = {
-    if (nPairs == plHead.length) {
-      val cap = math.max(16, plHead.length * 2)
-      plHead = copyOf(plHead, cap); strength = copyOf(strength, cap)
+    if (nPairs == pairEdge.length) {
+      val cap = math.max(16, pairEdge.length * 2)
+      pairEdge = copyOf(pairEdge, cap); strength = copyOf(strength, cap)
       nlNext = copyOf(nlNext, 2 * cap); nlPrev = copyOf(nlPrev, 2 * cap)
     }
     val p = nPairs
     nPairs += 1
-    plHead(p) = -1; strength(p) = 0
+    pairEdge(p) = nEdges; strength(p) = 0
     p
   }
 
@@ -299,15 +294,15 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   }
 
   /** Builds the external-id and pair dictionaries if this instance is a copy
-    * that has none yet. Every pair slot has at least one edge, alive or not.
+    * that has none yet.
     */
   private def dictionaries(): Unit = if (vertexIds == null) {
     vertexIds = new LongIntMap(nVerts)
     var x = 0
     while (x < nVerts) { vertexIds.getOrPut(ext(x), x); x += 1 }
     pairIds = new LongIntMap(nPairs)
-    var e = 0
-    while (e < nEdges) { pairIds.getOrPut(pairKey(eu(e), ev(e)), epair(e)); e += 1 }
+    var p = 0
+    while (p < nPairs) { pairIds.getOrPut(pairKey(eu(pairEdge(p)), ev(pairEdge(p))), p); p += 1 }
   }
 
   /** Copy-on-write: gives a copy private write-once columns before its first
@@ -317,15 +312,15 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   private def ownColumns(): Unit = if (!ownsColumns) {
     eu = copyOf(eu, nEdges); ev = copyOf(ev, nEdges)
-    et = copyOf(et, nEdges); epair = copyOf(epair, nEdges); plNext = copyOf(plNext, nEdges)
-    ext = copyOf(ext, nVerts)
+    et = copyOf(et, nEdges); epair = copyOf(epair, nEdges)
+    pairEdge = copyOf(pairEdge, nPairs); ext = copyOf(ext, nVerts)
     ownsColumns = true
   }
 
-  /** Appends edge `(u, v, t)` of pair `p` in local ids: the tail of the
-    * timeline and the head of PL(p), plus the strength update; a pair's
-    * first alive edge also links its ends onto NL(u) and NL(v). The caller
-    * keeps `t` no earlier than the last appended edge's.
+  /** Appends edge `(u, v, t)` of pair `p` in local ids as the new tail of
+    * the timeline, plus the strength update; a pair's first alive edge also
+    * links its ends onto NL(u) and NL(v). The caller keeps `t` no earlier
+    * than the last appended edge's, and every dead slot before `head`.
     */
   private def append(u: Int, v: Int, p: Int, t: Int): Unit = {
     if (nEdges == eu.length) growEdges()
@@ -333,10 +328,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     nEdges += 1
     nAlive += 1
     eu(e) = u; ev(e) = v; et(e) = t; epair(e) = p
-    tlNext(e) = -1; tlPrev(e) = tail
-    if (tail != -1) tlNext(tail) = e else head = e
-    tail = e
-    plNext(e) = plHead(p); plHead(p) = e
+    tail = e // an empty TEL already has head = e
     val c = strength(p) + 1
     strength(p) = c
     if (c == 1) {
@@ -350,13 +342,19 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`,
     * non-negative ids (the id dictionary keeps -1 as its empty key), and `t`
     * no earlier than the last appended edge's timestamp, alive or not, so
-    * edge ids stay in timestamp order.
+    * edge ids stay in timestamp order. Also requires every deleted edge to
+    * come before every alive one — the TEL is empty, or its alive edges are
+    * exactly the slots from `head` on — as after head truncations only; a
+    * dead slot inside the grown timeline would otherwise read as alive again
+    * once its pair gained an edge.
     */
   def addEdge(u: Long, v: Long, t: Int): Unit = {
     require(u != v, s"self-loop ($u,$v,$t) not allowed")
     require(u >= 0 && v >= 0, s"vertex ids must be non-negative, got ($u,$v)")
     require(nEdges == 0 || t >= et(nEdges - 1),
       s"timestamps must be appended in order: $t < ${et(nEdges - 1)}")
+    require(nAlive == 0 || head + nAlive == nEdges, "addEdge needs every deleted edge before " +
+      s"every alive one, but ${nEdges - head - nAlive} lie inside the timeline or after it")
     dictionaries()
     ownColumns()
     // New or revived vertices may sit below k without ever crossing it.
@@ -368,29 +366,48 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   // -------------------------------------------------------------- deletion
 
-  /** `del_edge(e)` (Table 1): O(1) unlink of an alive edge from the timeline,
-    * marking its slot dead, plus strength bookkeeping. `e` must be its pair's
-    * oldest or newest alive edge; PL then needs only its head moved off `e`
-    * (see the class doc). A pair's last alive edge also unlinks its ends
-    * from NL. A pair whose strength drops to `h - 1 > 0` is queued for
-    * purging (§6.2); `drainPurges()` completes the cascade.
+  /** `del_edge(e)` (Table 1) for `e` the head or the tail of the timeline:
+    * that end moves past `e`, then the strength bookkeeping, and both ends
+    * settle. A pair's last alive edge goes as the whole pair. A pair whose
+    * strength drops to `h - 1 > 0` is queued for purging (§6.2);
+    * `drainPurges()` completes the cascade.
     */
   private def delEdge(e: Int): Unit = {
-    nAlive -= 1
-    val u = eu(e); val v = ev(e); val p = epair(e)
-    val tp = tlPrev(e); val tx = tlNext(e)
-    if (tp != -1) tlNext(tp) = tx else head = tx
-    if (tx != -1) tlPrev(tx) = tp else tail = tp
-    tlPrev(e) = Dead
-    if (plHead(p) == e) plHead(p) = plNext(e)
-    val c = strength(p) - 1
-    strength(p) = c
-    if (c == 0) { unlinkEnd(2 * p, math.min(u, v)); unlinkEnd(2 * p + 1, math.max(u, v)) }
-    else if (c == h - 1) queuePurge(p)
+    val p = epair(e)
+    if (e == head) head = e + 1 else tail = e - 1
+    if (strength(p) == 1) deletePair(p)
+    else {
+      nAlive -= 1
+      strength(p) -= 1
+      if (strength(p) == h - 1) queuePurge(p)
+      settle()
+    }
   }
 
-  /** Deletes every alive edge of pair `p`, newest first, at PL(p)'s head. */
-  private def deletePair(p: Int): Unit = while (strength(p) > 0) delEdge(plHead(p))
+  /** Deletes every alive edge of pair `p` at once, O(1) plus the settling
+    * of the ends: with strength 0, none of its slots is alive. Its ends
+    * leave NL through the endpoints of its first edge.
+    */
+  private def deletePair(p: Int): Unit = {
+    nAlive -= strength(p)
+    strength(p) = 0
+    val u = eu(pairEdge(p)); val v = ev(pairEdge(p))
+    unlinkEnd(2 * p, math.min(u, v)); unlinkEnd(2 * p + 1, math.max(u, v))
+    settle()
+  }
+
+  /** Moves both ends of the timeline inward past slots whose pair has
+    * strength 0, so each sits on an alive edge again; an empty TEL gets
+    * `head = nEdges`, `tail = nEdges - 1`, where its next append starts.
+    * Between appends the ends only move inward, so all settling of a TEL
+    * costs O(slots) in total.
+    */
+  private def settle(): Unit =
+    if (nAlive == 0) { head = nEdges; tail = nEdges - 1 }
+    else {
+      while (strength(epair(head)) == 0) head += 1
+      while (strength(epair(tail)) == 0) tail -= 1
+    }
 
   /** Deletes every remaining edge of the queued pairs whose strength is in
     * `(0, h)` (the modified TCD of §6.2); a pair that has regained `h` or
@@ -413,8 +430,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * with timestamp outside `[ts, te]`, from both ends of the timeline.
     */
   def truncate(ts: Int, te: Int): Unit = {
-    while (head != -1 && et(head) < ts) delEdge(head)
-    while (tail != -1 && et(tail) > te) delEdge(tail)
+    while (nAlive > 0 && et(head) < ts) delEdge(head)
+    while (nAlive > 0 && et(tail) > te) delEdge(tail)
     drainPurges()
   }
 
@@ -459,17 +476,18 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** Fresh TEL holding only the alive edges with timestamps in `[ts, te]` —
     * the paper's "copy of TEL(G[Ts,Te]) obtained by truncating TEL(G)"
     * (§5.2) without mutating the source. The window's edge slots are one id
-    * range, found by binary search on the timestamps; its alive edges,
-    * vertices and pairs get fresh dense ids through two `Int` remaps indexed
-    * by this TEL's vertex and pair ids. The cost is O(slots in the window)
-    * plus one pass over the remaps.
+    * range, found by binary search on the timestamps and cut to the
+    * timeline; its alive edges, vertices and pairs get fresh dense ids
+    * through two `Int` remaps indexed by this TEL's vertex and pair ids. The
+    * cost is O(slots in the window) plus one pass over the remaps.
     */
   def copyRange(ts: Int, te: Int): TEL = {
-    val from = firstSlotAt(ts)
-    val until = firstSlotAt(te + 1L) // a Long, so te = Int.MaxValue does not wrap
+    val from = math.max(head, firstSlotAt(ts))
+    // te + 1 as a Long, so te = Int.MaxValue does not wrap
+    val until = math.min(tail + 1, firstSlotAt(te + 1L))
     var m = 0
     var e = from
-    while (e < until) { if (tlPrev(e) != Dead) m += 1; e += 1 }
+    while (e < until) { if (strength(epair(e)) > 0) m += 1; e += 1 }
     val t = new TEL(h, m)
     val vertexOf = new Array[Int](nVerts) // local vertex here -> local vertex in t, or -1
     val pairOf = new Array[Int](nPairs)   // pair here -> pair in t, or -1
@@ -481,7 +499,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     }
     e = from
     while (e < until) {
-      if (tlPrev(e) != Dead) {
+      if (strength(epair(e)) > 0) {
         val a = vertex(eu(e))
         val b = vertex(ev(e))
         val p = epair(e)
@@ -512,23 +530,22 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   private[core] def sparse: Boolean = 2 * nAlive < nEdges
 
-  /** Independent copy: one array copy per mutable array over the used
-    * prefix, O(slots used) with no hashing. The write-once columns (edge
-    * endpoints, timestamps, pair slots, PL links and external ids) are
-    * shared with this TEL until the copy's first `addEdge`. The copy starts
-    * without the peel stack and dictionaries and builds them when first
-    * needed.
+  /** Independent copy: one array copy per per-vertex and per-pair array over
+    * the used prefix, O(|V| + pairs) with no hashing. The write-once columns
+    * (every per-edge array, the pairs' first edges and the external ids) are
+    * shared with this TEL until the copy's first `addEdge`; since liveness
+    * follows from the timeline's ends and the strengths, the copy needs no
+    * per-edge state of its own. The copy starts without the peel stack and
+    * dictionaries and builds them when first needed.
     */
   def copy(): TEL = {
     val t = new TEL(h, 0)
-    t.eu = eu; t.ev = ev; t.et = et; t.epair = epair; t.plNext = plNext
+    t.eu = eu; t.ev = ev; t.et = et; t.epair = epair; t.pairEdge = pairEdge
     t.ext = ext; t.ownsColumns = false
-    t.tlNext = copyOf(tlNext, nEdges); t.tlPrev = copyOf(tlPrev, nEdges)
     t.nEdges = nEdges; t.nAlive = nAlive; t.head = head; t.tail = tail
     t.nlHead = copyOf(nlHead, nVerts); t.degree = copyOf(degree, nVerts)
     t.nVerts = nVerts; t.nLive = nLive
-    t.plHead = copyOf(plHead, nPairs); t.strength = copyOf(strength, nPairs)
-    t.nPairs = nPairs
+    t.strength = copyOf(strength, nPairs); t.nPairs = nPairs
     t.nlNext = copyOf(nlNext, 2 * nPairs); t.nlPrev = copyOf(nlPrev, 2 * nPairs)
     t.purge = copyOf(purge, nPurge); t.nPurge = nPurge
     t
@@ -536,14 +553,14 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   /** Bytes held by this TEL's arrays, dictionaries and peel stack (Table 5),
     * counted from their allocated lengths with a 16-byte header per array.
-    * Pointers in the paper's TEL correspond to the Int link slots here.
+    * Pointers in the paper's TEL correspond to the Int link slots of NL here.
     * Write-once columns shared between copies count only in the instance
     * that allocated them, so a copy that has not appended yet counts none.
     */
   def memoryFootprintBytes: Long = {
     val owned = if (ownsColumns) arrayBytes(ext.length, 8) +
-      Seq(eu, ev, et, epair, plNext).map(a => arrayBytes(a.length, 4)).sum else 0L
-    val ints = Seq(tlNext, tlPrev, nlHead, degree, plHead, strength, nlNext, nlPrev, purge)
+      Seq(eu, ev, et, epair, pairEdge).map(a => arrayBytes(a.length, 4)).sum else 0L
+    val ints = Seq(nlHead, degree, strength, nlNext, nlPrev, purge)
     owned + ints.map(a => arrayBytes(a.length, 4)).sum +
       Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes) +
       Option(below).fold(0L)(a => arrayBytes(a.length, 4))
@@ -570,9 +587,6 @@ object TEL {
 
   /** An empty, dynamically growable TEL (dynamic-graph extension, §6.1). */
   def empty(h: Int = 1): TEL = new TEL(h, 16)
-
-  /** `tlPrev` of a deleted edge's slot. */
-  private final val Dead = -2
 
   private def pairKey(a: Int, b: Int): Long = TemporalEdge.pairKey(a.toLong, b.toLong)
 

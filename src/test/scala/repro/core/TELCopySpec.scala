@@ -8,7 +8,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * over the edges they hold, through later appends and TCD operations. A
   * source compacted by a `copyRange` over its whole timeline, as a TCQ row
   * source is, must also behave exactly like one that went through the same
-  * truncations and decompositions uncompacted.
+  * truncations and decompositions uncompacted. Appends come where `addEdge`
+  * allows them: before any deletion, after head truncations, or on a
+  * `copyRange` result.
   */
 class TELCopySpec extends AnyFunSuite {
   import TELCopySpec.Scenario
@@ -30,6 +32,9 @@ class TELCopySpec extends AnyFunSuite {
     h <- Gen.choose(1, 3)
     n <- Gen.choose(0, 50)
     edges <- Gen.listOfN(n, Gen.choose(1, horizon).flatMap(edge))
+    // At h > 1 a truncation also purges weak pairs anywhere on the timeline,
+    // after which `addEdge` refuses to append.
+    headCut <- if (h == 1) Gen.option(Gen.choose(0, horizon + 1)) else Gen.const(None)
     truncateTo <- Gen.option(window)
     decomposeK <- Gen.option(Gen.choose(1, 3))
     compaction <- Gen.oneOf(Gen.const(None), Gen.option(window).map(Some(_)))
@@ -40,7 +45,8 @@ class TELCopySpec extends AnyFunSuite {
       gaps.scanLeft(horizon + 1)(_ + _).tail.map(edge))
     k <- Gen.choose(1, 3)
     w <- window
-  } yield Scenario(h, edges.toVector, truncateTo, decomposeK, compaction, range, appends, k, w)
+  } yield Scenario(h, edges.toVector, headCut, truncateTo, decomposeK, compaction, range, appends,
+    k, w)
 
   /** Compactions counted across all cases: of a source with fewer than half
     * of its edge slots alive, and of one with §6.2 purges still pending.
@@ -66,23 +72,13 @@ class TELCopySpec extends AnyFunSuite {
     var source = TEL.fromEdges(s.edges, s.h)
     // Compaction as a TCQ row source gets it: replaced by a whole-timeline copyRange.
     def rebuildSource(): Unit = source = source.copyRange(Int.MinValue, Int.MaxValue)
-    val plain = TEL.fromEdges(s.edges, s.h) // the same operations, never compacted
-    def both(op: TEL => Unit): Unit = { op(source); op(plain) }
-    s.truncateTo.foreach { case (a, b) => both(_.truncate(a, b)) }
-    s.decomposeK.foreach(k => both(_.decompose(k)))
-    s.compaction.foreach { retruncate =>
-      // A truncation after a decompose leaves the vertices that fell below k
-      // on the peel stack, under ids that compaction renumbers.
-      retruncate.foreach { case (a, b) => both(_.truncate(a, b)) }
-      if (source.sparse) sparseCompactions += 1
-      rebuildSource()
-      sameAs(source, TEL.fromEdges(plain.edges, s.h), "compacted source")
-      s.decomposeK.foreach(k => both(_.decompose(k)))
-      sameAs(source, plain, "compacted source after decompose")
-    }
+    def copyOf(t: TEL): TEL = s.range.fold(t.copy()) { case (a, b) => t.copyRange(a, b) }
+    def inRange(es: Vector[TemporalEdge]) =
+      s.range.fold(es) { case (a, b) => es.filter(e => e.t >= a && e.t <= b) }
+    s.headCut.foreach(a => source.truncate(a, Int.MaxValue))
     val before = source.edges
-    val copy = s.range.fold(source.copy()) { case (a, b) => source.copyRange(a, b) }
-    val copied = s.range.fold(before) { case (a, b) => before.filter(e => e.t >= a && e.t <= b) }
+    val copy = copyOf(source)
+    val copied = inRange(before)
     sameAs(copy, TEL.fromEdges(copied, s.h), "copy")
 
     // Interleaved appends: source and copy must not share any state.
@@ -97,16 +93,35 @@ class TELCopySpec extends AnyFunSuite {
           .exists(_._2.size < s.h)) pendingCompactions += 1
       rebuildSource()
     }
-    val expSource = TEL.fromEdges(before ++ s.appends, s.h)
     val expCopy = TEL.fromEdges(copied ++ s.appends, s.h)
-    sameAs(source, expSource, "source after appends")
+    val plain = TEL.fromEdges(before ++ s.appends, s.h) // the same operations, never compacted
+    sameAs(source, plain, "source after appends")
     sameAs(copy, expCopy, "copy after appends")
+
+    def both(op: TEL => Unit): Unit = { op(source); op(plain) }
+    s.truncateTo.foreach { case (a, b) => both(_.truncate(a, b)) }
+    s.decomposeK.foreach(k => both(_.decompose(k)))
+    s.compaction.foreach { retruncate =>
+      // A truncation after a decompose leaves the vertices that fell below k
+      // on the peel stack, under ids that compaction renumbers.
+      retruncate.foreach { case (a, b) => both(_.truncate(a, b)) }
+      if (source.sparse) sparseCompactions += 1
+      rebuildSource()
+      sameAs(source, TEL.fromEdges(plain.edges, s.h), "compacted source")
+      s.decomposeK.foreach(k => both(_.decompose(k)))
+      sameAs(source, plain, "compacted source after decompose")
+    }
+    // A copy of a source with deleted edges anywhere on its timeline.
+    val late = copyOf(source)
+    val lateEdges = inRange(source.edges)
+    sameAs(late, TEL.fromEdges(lateEdges, s.h), "late copy")
 
     // A second-generation copy carries pending purges and appends too.
     val again = copy.copy()
     val (ts, te) = s.window
-    for ((got, exp, what) <- Seq((copy, expCopy, "copy"), (source, expSource, "source"),
-        (again, TEL.fromEdges(copied ++ s.appends, s.h), "copy of copy"))) {
+    for ((got, exp, what) <- Seq((copy, expCopy, "copy"), (source, plain, "source"),
+        (again, TEL.fromEdges(copied ++ s.appends, s.h), "copy of copy"),
+        (late, TEL.fromEdges(lateEdges, s.h), "late copy"))) {
       got.tcd(s.k, ts, te)
       exp.tcd(s.k, ts, te)
       assert(got.snapshot().map(_.canonicalKey) == exp.snapshot().map(_.canonicalKey),
@@ -141,16 +156,19 @@ class TELCopySpec extends AnyFunSuite {
 }
 
 object TELCopySpec {
-  /** One scenario: a random multigraph, what happens to the source before
-    * the copy, which copy is taken, the appends that follow, and the TCD
-    * operation that ends it. `compaction`, when present, compacts the source
-    * twice: after its truncation and decomposition (first truncated again to
-    * the inner window if one is given, then decomposed again afterwards), and
-    * after the appends.
+  /** One scenario: a random multigraph, the head truncation of the source
+    * before the copy, which copy is taken, the appends that follow on both,
+    * the truncation and decomposition of the source after them, and the TCD
+    * operation that ends it; a copy of the same kind is taken again after
+    * those deletions. `compaction`, when present, compacts the source twice:
+    * after the appends, and after its truncation and decomposition (first
+    * truncated again to the inner window if one is given, then decomposed
+    * again afterwards).
     */
   final case class Scenario(
       h: Int,
       edges: Vector[TemporalEdge],
+      headCut: Option[Int],
       truncateTo: Option[(Int, Int)],
       decomposeK: Option[Int],
       compaction: Option[Option[(Int, Int)]],

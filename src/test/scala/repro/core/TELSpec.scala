@@ -75,13 +75,51 @@ class TELSpec extends AnyFunSuite {
 
   test("addEdge rejects a timestamp below the last appended edge, even after truncate removed it") {
     val t = tel(Vector(TemporalEdge(1, 2, 3), TemporalEdge(2, 3, 7)))
-    t.truncate(Int.MinValue, 5) // the tail edge at 7 is gone
-    assert(t.maxTimestamp.contains(3))
+    t.truncate(8, Int.MaxValue) // both edges are gone, the one at 7 too
+    assert(t.isEmpty && t.maxTimestamp.isEmpty)
     val err = intercept[IllegalArgumentException](t.addEdge(3, 4, 5))
     assert(err.getMessage.contains("5 < 7"), err.getMessage)
     t.addEdge(3, 4, 7)
-    assert(t.edges == Vector(TemporalEdge(1, 2, 3), TemporalEdge(3, 4, 7)))
-    assert(t.timestamps == Vector(3, 7))
+    t.addEdge(2, 1, 9) // revives the truncated pair (1,2)
+    assert(t.edges == Vector(TemporalEdge(3, 4, 7), TemporalEdge(2, 1, 9)))
+    assert(t.timestamps == Vector(7, 9) && t.strengthOf(1, 2) == 1 && t.degreeOf(2) == 1)
+  }
+
+  test("addEdge appends only while every deleted edge precedes every alive one") {
+    // A dead slot inside the grown timeline would read as alive again once
+    // its pair gained an edge, so appends after a tail truncation, a peel or
+    // a purge are refused and leave the TEL as it was.
+    def refuses(t: TEL, what: String): Unit = {
+      val before = t.edges
+      val err = intercept[IllegalArgumentException](t.addEdge(4, 3, 9))
+      assert(err.getMessage.contains("every deleted edge before every alive one"), s"$what: $err")
+      assert(t.edges == before && t.strengthOf(3, 4) == 0, what)
+    }
+    val path = Vector(TemporalEdge(1, 2, 1), TemporalEdge(2, 3, 2), TemporalEdge(3, 4, 3))
+    val tailCut = tel(path)
+    tailCut.truncate(1, 2)
+    refuses(tailCut, "after a tail truncation")
+    // (3,4) sits between the triangle's edges; the peel at 2 deletes it.
+    val pendant = Vector(TemporalEdge(1, 2, 1), TemporalEdge(3, 4, 2), TemporalEdge(2, 3, 3),
+      TemporalEdge(1, 3, 4))
+    val peeled = tel(pendant)
+    peeled.decompose(2)
+    assert(peeled.numAliveEdges == 3)
+    refuses(peeled, "after a peel")
+    // (1,3) has one edge, between the doubled (1,2) and (2,3): h = 2 purges it.
+    val weak = Vector(TemporalEdge(1, 2, 1), TemporalEdge(2, 1, 1), TemporalEdge(1, 3, 2),
+      TemporalEdge(2, 3, 3), TemporalEdge(3, 2, 3))
+    val purged = tel(weak, h = 2)
+    purged.decompose(1)
+    assert(purged.strengthOf(1, 3) == 0 && purged.numAliveEdges == 4)
+    refuses(purged, "after an h = 2 purge")
+    val headCut = tel(path)
+    headCut.truncate(2, Int.MaxValue)
+    headCut.addEdge(4, 3, 9)
+    headCut.addEdge(2, 1, 9) // revives (1,2)
+    assert(headCut.edges == path.tail ++ Vector(TemporalEdge(4, 3, 9), TemporalEdge(2, 1, 9)))
+    assert(headCut.strengthOf(3, 4) == 2 && headCut.strengthOf(1, 2) == 1)
+    assert(headCut.degreeOf(1) == 1)
   }
 
   test("truncate drops head timestamps") {
@@ -184,10 +222,11 @@ class TELSpec extends AnyFunSuite {
     k4 ++ Vector(TemporalEdge(4, 5, 7), TemporalEdge(5, 6, 8), TemporalEdge(4, 6, 9))
 
   test("decompose after addEdge peels new and revived vertices below k") {
-    val t = tel(triangle :+ TemporalEdge(3, 5, 3))
-    val core = peelsLikeReference(t, triangle :+ TemporalEdge(3, 5, 3), 2)
-    assert(core.size == 3)
-    // 4 is new and 5 was peeled: both come in at degree 1 without crossing k.
+    val t = tel(TemporalEdge(3, 5, 0) +: triangle)
+    t.truncate(1, Int.MaxValue) // 5 leaves the graph
+    val core = peelsLikeReference(t, triangle, 2)
+    assert(core.size == 3 && t.degreeOf(5) == 0)
+    // 4 is new and 5 was truncated away: both come in at degree 1 without crossing k.
     val appended = Vector(TemporalEdge(3, 4, 4), TemporalEdge(5, 1, 4))
     appended.foreach(e => t.addEdge(e.u, e.v, e.t))
     peelsLikeReference(t, core ++ appended, 2)
@@ -230,14 +269,17 @@ class TELSpec extends AnyFunSuite {
 
   test("NL bookkeeping holds for pairs emptied by truncate or decompose and revived by addEdge") {
     // Every pair holds two edges, so h = 2 keeps them all and a peel at
-    // h = 1 must delete parallel edges. Pair (1,2) is the last pair linked on
-    // both endpoints and its two edges point opposite ways, so ends unlinked
-    // by the orientation of the pair's last edge would swap NL(1) and NL(2).
+    // h = 1 must delete parallel edges. Appends need every deleted edge
+    // before every alive one, so the pairs of vertex 1 come first on the
+    // timeline and the K4 on 2..5 last. Pair (1,2)'s first edge points from 2
+    // to 1, and once revived the pair is the last one linked on both
+    // endpoints, so ends unlinked by the orientation of that edge would swap
+    // NL(1) and NL(2).
     def two(u: Long, v: Long, at: Int) = Vector.fill(2)(TemporalEdge(u, v, at))
     val k4 = Seq((2L, 3L), (2L, 4L), (2L, 5L), (3L, 4L), (3L, 5L), (4L, 5L))
     for (h <- 1 to 2) {
-      val es = k4.flatMap { case (u, v) => two(u, v, 1) } ++ two(1, 3, 1) ++ two(1, 4, 1) ++
-        Vector(TemporalEdge(2, 1, 2), TemporalEdge(1, 2, 2))
+      val es = Vector(TemporalEdge(2, 1, 0), TemporalEdge(1, 2, 0)) ++ two(1, 3, 1) ++
+        two(1, 4, 1) ++ k4.flatMap { case (u, v) => two(u, v, 1) }
       val t = tel(es, h)
       def counts(step: String): Unit = {
         val alive = t.edges
@@ -256,32 +298,28 @@ class TELSpec extends AnyFunSuite {
         counts(name)
       }
       def peel(k: Int, size: Int): Unit = assert(peelsLikeReference(t, t.edges, k, h).size == size)
+      def append(es: Seq[TemporalEdge]): Unit = es.foreach(e => t.addEdge(e.u, e.v, e.t))
       counts("build")
       step("truncate empties (1,2)")(t.truncate(1, 1))
       assert(t.strengthOf(1, 2) == 0)
       step("peeling 1 empties (1,3) and (1,4)")(peel(3, 12))
       assert(t.degreeOf(1) == 0)
       step("revive (1,2), (1,3) as before and (1,4) reversed") {
-        (two(1, 2, 3) ++ two(1, 3, 3) ++ two(4, 1, 3)).foreach(e => t.addEdge(e.u, e.v, e.t))
+        append(two(1, 3, 3) ++ two(4, 1, 3) ++ two(1, 2, 3))
       }
       step("peel keeps the revived pairs")(peel(3, 18))
       step("truncate to the revived pairs")(t.truncate(3, 3))
       step("peel the star")(peel(1, 6))
       step("peel the star away")(peel(2, 0))
-      // A truncation that cuts part of (1,2)'s tail leaves it alive; the
-      // next append to it must link past the cut edges, or the peel that
-      // deletes the pair would delete them again.
+      // A truncation that cuts part of (1,2)'s tail leaves it alive with its
+      // cut slots past the tail; the peel that deletes the pair must leave
+      // them dead.
       step("revive a triangle and (3,4), (1,2) with a tail at 5") {
-        (two(1, 2, 4) ++ two(1, 3, 4) ++ two(2, 3, 4) ++ two(3, 4, 4) ++ two(2, 1, 5))
-          .foreach(e => t.addEdge(e.u, e.v, e.t))
+        append(two(1, 2, 4) ++ two(1, 3, 4) ++ two(2, 3, 4) ++ two(3, 4, 4) ++ two(2, 1, 5))
       }
       step("truncate cuts (1,2)'s tail")(t.truncate(4, 4))
       assert(t.strengthOf(1, 2) == 2)
-      step("append to the cut pair") {
-        Seq(TemporalEdge(1, 2, 6), TemporalEdge(4, 3, 6)).foreach(e => t.addEdge(e.u, e.v, e.t))
-      }
-      assert(t.strengthOf(1, 2) == 3)
-      step("peel (3,4) away, keeping the triangle")(peel(2, 7))
+      step("peel (3,4) away, keeping the triangle")(peel(2, 6))
       step("peel the triangle away")(peel(3, 0))
     }
   }
@@ -375,12 +413,12 @@ class TELSpec extends AnyFunSuite {
     assert(small.memoryFootprintBytes > 0)
     assert(large.memoryFootprintBytes > small.memoryFootprintBytes)
     // Fresh copies of two TELs with the same vertices and pairs, one with
-    // every edge doubled, differ only by their per-edge link slots: a copy
-    // shares PL's links with its source, so it holds two Int slots per edge.
+    // every edge doubled, have equal footprints: a copy shares every
+    // per-edge array with its source.
     val once = TestGraphs.random(2, 30, 200, 20)
     val single = tel(once).copy()
     val double = tel(once ++ once).copy()
-    assert(double.memoryFootprintBytes - single.memoryFootprintBytes == 2L * 4 * once.size)
+    assert(double.memoryFootprintBytes == single.memoryFootprintBytes)
   }
 
   test("negative vertex ids are rejected") {
@@ -393,32 +431,50 @@ class TELSpec extends AnyFunSuite {
   }
 
   test("snapshot handles keep their core through later truncate, decompose and addEdge") {
-    // Source and copy share their write-once columns until each appends a
-    // different edge; every handle is read only at the end.
+    // Source and copy share their write-once columns until each appends an
+    // edge of a different new pair; every handle is read only at the end.
+    // All appends come before the first deletion, as `addEdge` requires at
+    // h = 2, where a truncation also purges weak pairs anywhere.
     for (seed <- 1 to 12; h <- 1 to 2) {
       val es = TestGraphs.random(seed, nV = 12, nE = 50, horizon = 8).sortBy(_.t)
       val source = TEL.empty(h) // grown by appends, so every column has spare slots
       es.foreach(e => source.addEdge(e.u, e.v, e.t))
       val copy = source.copy()
-      val extra = TestGraphs.random(seed + 100, nV = 16, nE = 8, horizon = 2)
+      val absent = for {
+        a <- 0L until 12L; b <- a + 1 until 12L
+        if !es.exists(e => e.pair == ((a, b)))
+      } yield (a, b)
+      assert(absent.size >= 2, s"seed=$seed")
+      val newInCopy = TemporalEdge(absent.head._1, absent.head._2, 8)
+      val newInSource = TemporalEdge(absent.last._1, absent.last._2, 8)
+      val extra = TestGraphs.random(seed + 100, nV = 16, nE = 6, horizon = 2)
         .map(e => e.copy(t = e.t + 8)).sortBy(_.t)
       // Each handle, with the edges and vertices of its TEL read at the same moment.
       val taken = Vector.newBuilder[(CoreResult, Vector[TemporalEdge], Set[Long], String)]
       def takeBoth(step: String): Unit =
         for ((t, name) <- Seq((source, "source"), (copy, "copy")))
           t.snapshot().foreach(c => taken += ((c, t.edges, t.vertices.toSet, s"$name $step")))
+      def peelBoth(k: Int): Unit = for (t <- Seq(source, copy)) {
+        val alive = t.edges
+        t.decompose(k)
+        assert(t.snapshot().map(_.canonicalKey) == KCore.core(alive, k, h).map(_.canonicalKey),
+          s"seed=$seed h=$h k=$k")
+      }
       takeBoth("as built")
-      copy.addEdge(extra(0).u, extra(0).v, extra(0).t) // the copy appends first
-      source.addEdge(extra(1).u, extra(1).v, extra(1).t)
-      assert(copy.edges == es :+ extra(0) && source.edges == es :+ extra(1), s"seed=$seed h=$h")
+      copy.addEdge(newInCopy.u, newInCopy.v, newInCopy.t) // the copy appends first
+      source.addEdge(newInSource.u, newInSource.v, newInSource.t)
+      assert(copy.edges == es :+ newInCopy && source.edges == es :+ newInSource, s"seed=$seed h=$h")
+      assert(copy.strengthOf(newInSource.u, newInSource.v) == 0, s"seed=$seed h=$h")
+      assert(source.strengthOf(newInCopy.u, newInCopy.v) == 0, s"seed=$seed h=$h")
       takeBoth("after one append each")
-      source.truncate(2, 10); copy.truncate(3, 10)
-      takeBoth("after truncate")
-      source.decompose(2); copy.decompose(3)
-      takeBoth("after decompose")
-      extra.slice(2, 5).foreach(e => source.addEdge(e.u, e.v, e.t))
-      extra.drop(5).foreach(e => copy.addEdge(e.u, e.v, e.t))
+      extra.take(3).foreach(e => source.addEdge(e.u, e.v, e.t))
+      extra.drop(3).foreach(e => copy.addEdge(e.u, e.v, e.t))
       takeBoth("after more appends")
+      source.truncate(2, 9); copy.truncate(3, 9)
+      takeBoth("after truncate")
+      peelBoth(2)
+      takeBoth("after decompose")
+      peelBoth(3)
       source.tcd(2, 4, 10); copy.tcd(1, 9, 10)
       for ((c, edges, vertices, what) <- taken.result()) {
         assert(c.numEdges == edges.size && c.numVertices == vertices.size, s"seed=$seed h=$h $what")
