@@ -77,26 +77,36 @@ private[core] final class LongIntMap(expected: Int) {
   * 0, which kills its remaining slots at once, and the ends then move inward
   * past the dead slots they meet.
   *
-  * '''NL(v)''' — the pairs of `v` that hold an alive edge, in place of the
-  * paper's SL(v) / DL(v) — is the one intrusive list. Pair `p` has two ends:
-  * `2p` sits on its lower local endpoint, `2p + 1` on its higher one. Both
-  * are linked when the pair gains its first alive edge and unlinked when it
-  * loses its last, so |NL(v)| is `v`'s number of ''distinct neighbours''
-  * (the paper's degree) whatever the orientation of the pair's edges. A pair
-  * finds its endpoints through its first edge, `pairEdge(p)`.
+  * '''NL(v)''', in place of the paper's SL(v) / DL(v), lists every pair of
+  * `v`, alive or dead: it is `nl(nlStart(v) until nlStart(v + 1))`, a
+  * counting sort of the pairs by the endpoints of their first edge,
+  * `pairEdge(p)`. A pair counts iff its strength is positive, and `degree(v)`
+  * is a counter of `v`'s pairs that do: its ''distinct neighbours'' (the
+  * paper's degree), whatever the orientation of the pair's edges. A pair's
+  * first alive edge adds 1 at both endpoints, and deleting the pair takes
+  * it off. NL is built by the first `decompose` or `copy()` that finds it
+  * does not cover every pair, is never written afterwards, and is shared by
+  * copies; masters, which only append and `copyRange`, hold none.
   *
   * Every edge stores its endpoints, its pair slot and its timestamp, all
   * written once, so `del_edge` and with it `truncate` and `decompose` touch
   * arrays only. A deleted edge keeps its slot.
   * Decomposition peels with a fixed `k` instead of the paper's H_v min-heap:
   * a stack holds the vertices whose degree fell below the `k` of the last
-  * `decompose`, and a degree change costs O(1). The stack is allocated at the
+  * `decompose`, and a degree change costs O(1); peeling `v` deletes the
+  * pairs on NL(v) that still have strength. The stack is allocated at the
   * first `decompose`, so masters, which never peel, carry none.
   *
-  * Copies cost no hashing. `copy()` is one `System.arraycopy` per
-  * per-vertex and per-pair array, O(|V| + pairs), and the write-once
-  * columns, every per-edge array among them, are shared with the source
-  * until the copy's first `addEdge` (copy-on-write);
+  * The §6.2 purge defers no work. Truncation deletes a whole pair once its
+  * strength would fall below `h`; an append that leaves a pair in `(0, h)`
+  * sets `weak`, and the next `truncate` or `decompose` deletes every such
+  * pair in one pass over the pairs. At `h = 1` neither happens apart from
+  * a pair losing its last edge.
+  *
+  * Copies cost no hashing. `copy()` copies two arrays, `degree` and
+  * `strength`, O(|V| + pairs); the write-once columns, every per-edge array
+  * and NL among them, are shared with the source until the copy's first
+  * `addEdge` (copy-on-write);
   * `copyRange(ts, te)` finds the window's edge slots by binary search on the
   * timestamps and compacts its alive edges, their vertices and pairs into
   * fresh ids through array remaps, so the result is sized by the window, not
@@ -129,25 +139,28 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   // ---- vertices: local ids [0, nVerts), external id in `ext` ----
   private var ext: Array[Long] = new Array[Long](16)
-  private var nlHead, degree: Array[Int] = new Array[Int](16) // degree = |NL(v)|
+  private var degree: Array[Int] = new Array[Int](16) // pairs of v with strength > 0
   private var nVerts = 0
   private var nLive = 0 // vertices with degree > 0
 
   // ---- vertex pairs: strength = alive parallel edges; pairEdge = the
   // pair's first edge, write-once ----
   private var pairEdge, strength: Array[Int] = new Array[Int](16)
-  private var nlNext, nlPrev: Array[Int] = new Array[Int](32) // by pair end 2p, 2p + 1
   private var nPairs = 0
-  private var purge: Array[Int] = new Array[Int](16) // stack of pairs queued for a §6.2 purge
-  private var nPurge = 0
+  private var weak = false // an append may have left a pair in (0, h) (§6.2)
+
+  // ---- NL(v) = nl(nlStart(v) until nlStart(v + 1)): every pair of v, alive
+  // or dead; write-once, null until a decompose or copy() builds it ----
+  private var nl, nlStart: Array[Int] = null
 
   private var peelK = 0                     // k of the last decompose; 0 = rescan
   private var below: Array[Int] = null      // stack of vertices below peelK
   private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
   private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
-  // False while the write-once columns (eu, ev, et, epair, pairEdge, ext) are
-  // shared with the TEL this one was copied from; the first addEdge copies them.
+  // False while the write-once columns (eu, ev, et, epair, pairEdge, ext, nl,
+  // nlStart) are shared with the TEL this one was copied from; the first
+  // addEdge copies them, and drops NL.
   private var ownsColumns = true
 
   // ---------------------------------------------------------------- queries
@@ -245,11 +258,11 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private def newVertex(id: Long): Int = {
     if (nVerts == ext.length) {
       val cap = math.max(16, ext.length * 2)
-      ext = copyOf(ext, cap); nlHead = copyOf(nlHead, cap); degree = copyOf(degree, cap)
+      ext = copyOf(ext, cap); degree = copyOf(degree, cap)
     }
     val x = nVerts
     nVerts += 1
-    ext(x) = id; nlHead(x) = -1; degree(x) = 0
+    ext(x) = id; degree(x) = 0
     x
   }
 
@@ -260,7 +273,6 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     if (nPairs == pairEdge.length) {
       val cap = math.max(16, pairEdge.length * 2)
       pairEdge = copyOf(pairEdge, cap); strength = copyOf(strength, cap)
-      nlNext = copyOf(nlNext, 2 * cap); nlPrev = copyOf(nlPrev, 2 * cap)
     }
     val p = nPairs
     nPairs += 1
@@ -268,25 +280,25 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     p
   }
 
-  private def queuePurge(p: Int): Unit = {
-    if (nPurge == purge.length) purge = copyOf(purge, math.max(16, purge.length * 2))
-    purge(nPurge) = p
-    nPurge += 1
+  /** Builds NL if it does not cover every pair: a counting sort of the
+    * pairs by both endpoints of their first edges, into fresh arrays, so an
+    * NL that copies share is never written.
+    */
+  private def buildNl(): Unit = if (nl == null || nl.length != 2 * nPairs) {
+    val start = new Array[Int](nVerts + 1) // sizes of the NL(x), then their ends, then starts
+    for (p <- 0 until nPairs) { start(eu(pairEdge(p))) += 1; start(ev(pairEdge(p))) += 1 }
+    for (x <- 1 to nVerts) start(x) += start(x - 1)
+    val list = new Array[Int](2 * nPairs)
+    def put(x: Int, p: Int): Unit = { start(x) -= 1; list(start(x)) = p }
+    for (p <- nPairs - 1 to 0 by -1) { put(eu(pairEdge(p)), p); put(ev(pairEdge(p)), p) }
+    nl = list; nlStart = start
   }
 
-  private def linkEnd(end: Int, x: Int): Unit = {
-    nlPrev(end) = -1; nlNext(end) = nlHead(x)
-    if (nlHead(x) != -1) nlPrev(nlHead(x)) = end
-    nlHead(x) = end
-    val d = degree(x) + 1
-    degree(x) = d
-    if (d == 1) nLive += 1
-  }
+  /** Vertex `x` gains a neighbour: one of its pairs gained its first alive edge. */
+  private def gainNeighbour(x: Int): Unit = { degree(x) += 1; if (degree(x) == 1) nLive += 1 }
 
-  private def unlinkEnd(end: Int, x: Int): Unit = {
-    val np = nlPrev(end); val nx = nlNext(end)
-    if (np != -1) nlNext(np) = nx else nlHead(x) = nx
-    if (nx != -1) nlPrev(nx) = np
+  /** Vertex `x` loses a neighbour; it joins the peel stack on falling to `peelK - 1`. */
+  private def loseNeighbour(x: Int): Unit = {
     val d = degree(x) - 1
     degree(x) = d
     if (d == 0) nLive -= 1
@@ -314,12 +326,13 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     eu = copyOf(eu, nEdges); ev = copyOf(ev, nEdges)
     et = copyOf(et, nEdges); epair = copyOf(epair, nEdges)
     pairEdge = copyOf(pairEdge, nPairs); ext = copyOf(ext, nVerts)
+    nl = null; nlStart = null // the next decompose or copy() builds this TEL's own
     ownsColumns = true
   }
 
   /** Appends edge `(u, v, t)` of pair `p` in local ids as the new tail of
     * the timeline, plus the strength update; a pair's first alive edge also
-    * links its ends onto NL(u) and NL(v). The caller keeps `t` no earlier
+    * adds a neighbour to `u` and `v`. The caller keeps `t` no earlier
     * than the last appended edge's, and every dead slot before `head`.
     */
   private def append(u: Int, v: Int, p: Int, t: Int): Unit = {
@@ -331,12 +344,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     tail = e // an empty TEL already has head = e
     val c = strength(p) + 1
     strength(p) = c
-    if (c == 1) {
-      linkEnd(2 * p, math.min(u, v)); linkEnd(2 * p + 1, math.max(u, v))
-      // A pair below the strength bound is queued for a purge from its first
-      // edge on; `drainPurges` skips it if it has reached h by then.
-      if (c < h) queuePurge(p)
-    }
+    if (c == 1) { gainNeighbour(u); gainNeighbour(v) }
+    if (c < h) weak = true
   }
 
   /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`,
@@ -366,62 +375,51 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   // -------------------------------------------------------------- deletion
 
-  /** `del_edge(e)` (Table 1) for `e` the head or the tail of the timeline:
-    * that end moves past `e`, then the strength bookkeeping, and both ends
-    * settle. A pair's last alive edge goes as the whole pair. A pair whose
-    * strength drops to `h - 1 > 0` is queued for purging (§6.2);
-    * `drainPurges()` completes the cascade.
+  /** `del_edge(e)` (Table 1) for `e` the head or the tail of the timeline.
+    * A pair whose strength is at most `h` goes whole: below `h` it would be
+    * purged anyway (§6.2), and at `h = 1` this is its last edge. Otherwise
+    * the pair survives, and only the end that held `e` moves, past `e` and
+    * the dead slots behind it: no other slot died, and a surviving pair
+    * keeps that end from running off the timeline.
     */
   private def delEdge(e: Int): Unit = {
     val p = epair(e)
-    if (e == head) head = e + 1 else tail = e - 1
-    if (strength(p) == 1) deletePair(p)
+    if (strength(p) <= h) deletePair(p)
     else {
       nAlive -= 1
       strength(p) -= 1
-      if (strength(p) == h - 1) queuePurge(p)
-      settle()
+      if (e == head) { head += 1; while (strength(epair(head)) == 0) head += 1 }
+      else { tail -= 1; while (strength(epair(tail)) == 0) tail -= 1 }
     }
   }
 
-  /** Deletes every alive edge of pair `p` at once, O(1) plus the settling
-    * of the ends: with strength 0, none of its slots is alive. Its ends
-    * leave NL through the endpoints of its first edge.
+  /** Deletes every alive edge of pair `p` at once: with strength 0, none of
+    * its slots is alive, and both endpoints of its first edge lose a
+    * neighbour. Then both ends of the timeline settle: they move inward past
+    * slots whose pair has strength 0, so each sits on an alive edge again; an
+    * empty TEL gets `head = nEdges`, `tail = nEdges - 1`, where its next
+    * append starts. Between appends the ends only move inward, so all
+    * settling of a TEL costs O(slots) in total, and a deletion O(1) plus its
+    * share of that.
     */
   private def deletePair(p: Int): Unit = {
     nAlive -= strength(p)
     strength(p) = 0
-    val u = eu(pairEdge(p)); val v = ev(pairEdge(p))
-    unlinkEnd(2 * p, math.min(u, v)); unlinkEnd(2 * p + 1, math.max(u, v))
-    settle()
-  }
-
-  /** Moves both ends of the timeline inward past slots whose pair has
-    * strength 0, so each sits on an alive edge again; an empty TEL gets
-    * `head = nEdges`, `tail = nEdges - 1`, where its next append starts.
-    * Between appends the ends only move inward, so all settling of a TEL
-    * costs O(slots) in total.
-    */
-  private def settle(): Unit =
+    loseNeighbour(eu(pairEdge(p))); loseNeighbour(ev(pairEdge(p)))
     if (nAlive == 0) { head = nEdges; tail = nEdges - 1 }
     else {
       while (strength(epair(head)) == 0) head += 1
       while (strength(epair(tail)) == 0) tail -= 1
     }
+  }
 
-  /** Deletes every remaining edge of the queued pairs whose strength is in
-    * `(0, h)` (the modified TCD of §6.2); a pair that has regained `h` or
-    * lost its last edge since it was queued is skipped. A no-op when
-    * `h == 1`. A pair is queued only on entering `(0, h)`, so its own purge
-    * does not queue it again.
+  /** Deletes every pair whose strength is in `(0, h)` (the modified TCD of
+    * §6.2), in one pass over the pairs, if an append may have left one
+    * there; deletions never do. A no-op when `h == 1`.
     */
-  private def drainPurges(): Unit = {
-    while (nPurge > 0) {
-      nPurge -= 1
-      val p = purge(nPurge)
-      val c = strength(p)
-      if (c > 0 && c < h) deletePair(p)
-    }
+  private def purgeWeak(): Unit = if (weak) {
+    weak = false
+    for (p <- 0 until nPairs if strength(p) > 0 && strength(p) < h) deletePair(p)
   }
 
   // --------------------------------------------------------- TCD operation
@@ -432,20 +430,21 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   def truncate(ts: Int, te: Int): Unit = {
     while (nAlive > 0 && et(head) < ts) delEdge(head)
     while (nAlive > 0 && et(tail) > te) delEdge(tail)
-    drainPurges()
+    purgeWeak()
   }
 
   /** Decomposition phase of TCD (Algorithm 4 lines 15–24): peel vertices
     * with fewer than `k` distinct (strength-qualified) neighbours.
     *
     * Once a `decompose(k)` has run, every live vertex below `k` is on the
-    * `below` stack: unlinking an NL end pushes a vertex when its degree
-    * drops from `k` to `k - 1`. A new `k`, or an `addEdge` since, needs one
+    * `below` stack: deleting a pair pushes an endpoint whose degree drops
+    * from `k` to `k - 1`. A new `k`, or an `addEdge` since, needs one
     * scan of the degrees. Without appends degrees only fall, so each live vertex is
     * pushed at most once per scan and the stack never outgrows `nLive`.
     */
   def decompose(k: Int): Unit = {
-    drainPurges()
+    purgeWeak()
+    buildNl()
     if (below == null || k != peelK) {
       if (below == null || below.length < nLive) below = new Array[Int](nLive)
       nBelow = 0
@@ -460,10 +459,10 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
       nBelow -= 1
       val v = below(nBelow)
       if (degree(v) > 0 && degree(v) < k) {
-        // peel v: delete every pair on NL(v); each has one end there
-        var end = nlHead(v)
-        while (end != -1) { val nx = nlNext(end); deletePair(end >> 1); end = nx }
-        drainPurges()
+        // peel v: delete the pairs on NL(v) that still have strength; once
+        // its degree is 0 the rest of NL(v) is dead
+        var i = nlStart(v)
+        while (degree(v) > 0) { if (strength(nl(i)) > 0) deletePair(nl(i)); i += 1 }
       }
     }
   }
@@ -530,40 +529,40 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   private[core] def sparse: Boolean = 2 * nAlive < nEdges
 
-  /** Independent copy: one array copy per per-vertex and per-pair array over
-    * the used prefix, O(|V| + pairs) with no hashing. The write-once columns
-    * (every per-edge array, the pairs' first edges and the external ids) are
-    * shared with this TEL until the copy's first `addEdge`; since liveness
-    * follows from the timeline's ends and the strengths, the copy needs no
-    * per-edge state of its own. The copy starts without the peel stack and
-    * dictionaries and builds them when first needed.
+  /** Independent copy: two array copies, `degree` and `strength` over the
+    * used prefix, O(|V| + pairs) with no hashing. The write-once columns
+    * (every per-edge array, the pairs' first edges, the external ids and NL,
+    * built here first if it does not cover every pair, so that all copies of
+    * this TEL share one) are shared with this TEL until the copy's first
+    * `addEdge`; since liveness follows from the timeline's ends and the
+    * strengths, the copy needs no per-edge state of its own. The copy starts
+    * without the peel stack and dictionaries and builds them when first
+    * needed.
     */
   def copy(): TEL = {
+    buildNl()
     val t = new TEL(h, 0)
     t.eu = eu; t.ev = ev; t.et = et; t.epair = epair; t.pairEdge = pairEdge
-    t.ext = ext; t.ownsColumns = false
+    t.ext = ext; t.nl = nl; t.nlStart = nlStart; t.ownsColumns = false
     t.nEdges = nEdges; t.nAlive = nAlive; t.head = head; t.tail = tail
-    t.nlHead = copyOf(nlHead, nVerts); t.degree = copyOf(degree, nVerts)
-    t.nVerts = nVerts; t.nLive = nLive
-    t.strength = copyOf(strength, nPairs); t.nPairs = nPairs
-    t.nlNext = copyOf(nlNext, 2 * nPairs); t.nlPrev = copyOf(nlPrev, 2 * nPairs)
-    t.purge = copyOf(purge, nPurge); t.nPurge = nPurge
+    t.degree = copyOf(degree, nVerts); t.nVerts = nVerts; t.nLive = nLive
+    t.strength = copyOf(strength, nPairs); t.nPairs = nPairs; t.weak = weak
     t
   }
 
   /** Bytes held by this TEL's arrays, dictionaries and peel stack (Table 5),
     * counted from their allocated lengths with a 16-byte header per array.
-    * Pointers in the paper's TEL correspond to the Int link slots of NL here.
+    * Pointers in the paper's TEL correspond to the Int slots of NL here.
     * Write-once columns shared between copies count only in the instance
-    * that allocated them, so a copy that has not appended yet counts none.
+    * that allocated them, so a copy that has not appended yet counts none;
+    * a TEL holds its own NL only while it owns its columns.
     */
   def memoryFootprintBytes: Long = {
+    def ints(as: Array[Int]*): Long = as.filter(_ != null).map(a => arrayBytes(a.length, 4)).sum
     val owned = if (ownsColumns) arrayBytes(ext.length, 8) +
-      Seq(eu, ev, et, epair, pairEdge).map(a => arrayBytes(a.length, 4)).sum else 0L
-    val ints = Seq(nlHead, degree, strength, nlNext, nlPrev, purge)
-    owned + ints.map(a => arrayBytes(a.length, 4)).sum +
-      Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes) +
-      Option(below).fold(0L)(a => arrayBytes(a.length, 4))
+      ints(eu, ev, et, epair, pairEdge, nl, nlStart) else 0L
+    owned + ints(degree, strength, below) +
+      Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes)
   }
 }
 

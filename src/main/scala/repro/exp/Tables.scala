@@ -23,10 +23,11 @@ object Tables {
     * timestamp is the run of `del_edge`s over its edges). The paper's
     * `get_SL`/`get_DL` have no counterpart, because the TEL keeps one
     * neighbour list NL(v) per vertex; the `degreeOf` column times its O(1)
-    * size. `copy` is the row-source copy OTCD makes once per row (§5.2), per
-    * copied edge; every size copies the same number of edges, so a young GC
-    * that falls into the timing weighs alike at every size. `decompose`
-    * peels whole copies at a `k` above the maximum degree, per deleted edge.
+    * degree counter. `copy` is the row-source copy OTCD makes once per row
+    * (§5.2), per copied edge; every size copies the same number of edges,
+    * so a young GC that falls into the timing weighs alike at every size.
+    * `decompose` peels whole copies at a `k` above the maximum degree, per
+    * deleted edge.
     * One untimed pass of every column at the first size runs first, so the
     * first timed size does not pay for the JIT's first compilations.
     */
@@ -43,7 +44,7 @@ object Tables {
         while (i < reps) { acc += tel.tti.map(_.ts).getOrElse(0); i += 1 }
         acc
       }
-      // degreeOf: |NL(v)| lookup
+      // degreeOf: degree counter lookup
       val vs = edges.take(1024).map(_.u).toArray
       val (_, degMs) = Timing.time {
         var i = 0; var acc = 0L

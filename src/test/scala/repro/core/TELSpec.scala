@@ -272,9 +272,8 @@ class TELSpec extends AnyFunSuite {
     // h = 1 must delete parallel edges. Appends need every deleted edge
     // before every alive one, so the pairs of vertex 1 come first on the
     // timeline and the K4 on 2..5 last. Pair (1,2)'s first edge points from 2
-    // to 1, and once revived the pair is the last one linked on both
-    // endpoints, so ends unlinked by the orientation of that edge would swap
-    // NL(1) and NL(2).
+    // to 1: NL and the degree counters reach a pair's endpoints through its
+    // first edge, and must not depend on that edge's orientation.
     def two(u: Long, v: Long, at: Int) = Vector.fill(2)(TemporalEdge(u, v, at))
     val k4 = Seq((2L, 3L), (2L, 4L), (2L, 5L), (3L, 4L), (3L, 5L), (4L, 5L))
     for (h <- 1 to 2) {
@@ -292,7 +291,7 @@ class TELSpec extends AnyFunSuite {
         }
         assert(t.numVertices == alive.flatMap(e => Seq(e.u, e.v)).distinct.size, s"h=$h $step")
       }
-      // A corrupted list can make a peel loop, so each step gets 10 s.
+      // A corrupted NL or degree counter can make a peel loop, so each step gets 10 s.
       def step(name: String)(mutate: => Unit): Unit = {
         TestGraphs.within(10)(mutate)
         counts(name)
@@ -397,6 +396,20 @@ class TELSpec extends AnyFunSuite {
     assert(t.numVertices == 2)
   }
 
+  test("link strength h=2: truncate alone purges the pairs that appends left below h") {
+    // (1,3) holds one edge inside the window, so no deletion at an end
+    // reaches it: only the purge of pairs that appends left weak removes it.
+    // Copies of both kinds carry that state from their source.
+    val source = tel(TestGraphs.multiEdge, h = 2)
+    val all = Seq((source.copy(), "copy"), (source.copyRange(1, 6), "copyRange"),
+      (source, "source"))
+    for ((t, what) <- all) {
+      t.truncate(1, 6)
+      assert(t.strengthOf(1, 3) == 0 && t.numAliveEdges == 5, what)
+      assert(t.degreeOf(3) == 1 && t.numVertices == 3, what)
+    }
+  }
+
   test("link strength matches reference KCore with h on random graphs") {
     for (seed <- 1 to 8; h <- 2 to 3) {
       val es = TestGraphs.random(seed * 17, nV = 10, nE = 120, horizon = 6)
@@ -419,6 +432,11 @@ class TELSpec extends AnyFunSuite {
     val single = tel(once).copy()
     val double = tel(once ++ once).copy()
     assert(double.memoryFootprintBytes == single.memoryFootprintBytes)
+    // A fresh copy holds two arrays of its own, the degrees of its vertices
+    // and the strengths of its pairs; NL and every other column are shared.
+    val vertices = once.flatMap(e => Seq(e.u, e.v)).distinct.size
+    val pairs = once.map(_.pair).distinct.size
+    assert(single.memoryFootprintBytes == (16 + 4 * vertices) + (16 + 4 * pairs))
   }
 
   test("negative vertex ids are rejected") {
