@@ -33,9 +33,10 @@ final case class Interval(ts: Int, te: Int) {
 
 /** An induced temporal k-core, as a handle: the TTI and the sizes |V| and |E|
   * are fixed when the core is made, while `edges` and `vertices` are built on
-  * first read. A TEL snapshot keeps only the core's edge ids over columns it
-  * shares with the TEL (see [[TEL.snapshot]]), so a query that reads only
-  * the TTI and the sizes, as Table 6 does, builds no edge at all.
+  * first read. A TEL snapshot is O(1): it keeps the timeline's ends and the
+  * TEL's pair-death clock over arrays it shares with the TEL (see
+  * [[TEL.snapshot]]), so a query that reads only the TTI and the sizes, as
+  * Table 6 does, builds no edge at all.
   *
   * Identity of a core is its edge multiset; `canonicalKey` sorts the edges so
   * equal cores compare equal regardless of induction order. Per Property 2 of
@@ -62,6 +63,8 @@ object CoreResult {
 
   /** A core of `numVertices` vertices and `numEdges` edges that `edges`
     * builds on first read; its vertices are then those edges' endpoints.
+    * `edges` runs once, at the first read of `edges` or `vertices`; for a
+    * TEL snapshot it is one scan of the snapshot's slot range.
     */
   def deferred(tti: Interval, numVertices: Int, numEdges: Int)(
       edges: () => Vector[TemporalEdge]): CoreResult =

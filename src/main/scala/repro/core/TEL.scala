@@ -73,9 +73,9 @@ private[core] final class LongIntMap(expected: Int) {
   * `tail = nEdges - 1`), which gives `get_TTI` in O(1); the paper's TL(t) is
   * the timeline's run of alive edges at `t`, and its `del_TL` a run of
   * `del_edge`s at an end (Table 1). A pair with strength `c > 0` has exactly
-  * `c` slots on the timeline, and deleting it is O(1): its strength drops to
-  * 0, which kills its remaining slots at once, and the ends then move inward
-  * past the dead slots they meet.
+  * `c` slots on the timeline, and deleting it is O(1): its strength becomes
+  * its death stamp (below), a number `<= 0`, which kills its remaining slots
+  * at once, and the ends then move inward past the dead slots they meet.
   *
   * '''NL(v)''', in place of the paper's SL(v) / DL(v), lists every pair of
   * `v`, alive or dead: it is `nl(nlStart(v) until nlStart(v + 1))`, a
@@ -97,6 +97,21 @@ private[core] final class LongIntMap(expected: Int) {
   * pairs on NL(v) that still have strength. The stack is allocated at the
   * first `decompose`, so masters, which never peel, carry none.
   *
+  * '''Snapshots''' are O(1) because every pair death is stamped: it ticks
+  * `clock` and leaves the pair's strength at `-clock`. A handle keeps
+  * `head`, `tail` and `clock`, and holds this TEL's `strength` array and
+  * write-once columns by reference. On first read it keeps the slots `e` of
+  * its range with `s > 0 || -s > clock`, where `s = strength(epair(e))`: the
+  * pairs alive now, or dead since the snapshot. A later deletion stamps a
+  * newer death or lowers a surviving pair's strength, so these are exactly
+  * the edges alive at the snapshot. Only an append could revive a pair the
+  * handle reads as dead, so the first `addEdge` after a snapshot gives this
+  * TEL a fresh copy of `strength` (the seal), and the handle's array is
+  * never written again. The clock cannot wrap: each stamp kills at least
+  * one alive slot, and a dead slot never comes back (`addEdge` keeps every
+  * dead slot before `head`), so `clock` stays below `nEdges`. Without
+  * appends a pair dies at most once, so it stays at or below `nPairs`.
+  *
   * The §6.2 purge defers no work. Truncation deletes a whole pair once its
   * strength would fall below `h`; an append that leaves a pair in `(0, h)`
   * sets `weak`, and the next `truncate` or `decompose` deletes every such
@@ -104,9 +119,9 @@ private[core] final class LongIntMap(expected: Int) {
   * a pair losing its last edge.
   *
   * Copies cost no hashing. `copy()` copies two arrays, `degree` and
-  * `strength`, O(|V| + pairs); the write-once columns, every per-edge array
-  * and NL among them, are shared with the source until the copy's first
-  * `addEdge` (copy-on-write);
+  * `strength`, O(|V| + pairs), and carries `clock`; the write-once columns,
+  * every per-edge array and NL among them, are shared with the source until
+  * the copy's first `addEdge` (copy-on-write);
   * `copyRange(ts, te)` finds the window's edge slots by binary search on the
   * timestamps and compacts its alive edges, their vertices and pairs into
   * fresh ids through array remaps, so the result is sized by the window, not
@@ -143,10 +158,13 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nVerts = 0
   private var nLive = 0 // vertices with degree > 0
 
-  // ---- vertex pairs: strength = alive parallel edges; pairEdge = the
-  // pair's first edge, write-once ----
+  // ---- vertex pairs: strength = alive parallel edges, or -(death stamp)
+  // once deleted; pairEdge = the pair's first edge, write-once ----
   private var pairEdge, strength: Array[Int] = new Array[Int](16)
   private var nPairs = 0
+  private var clock = 0 // the last death stamp: pair deletions so far
+  // False once a snapshot handle reads `strength`; the next addEdge seals.
+  private var ownsStrength = true
   private var weak = false // an append may have left a pair in (0, h) (§6.2)
 
   // ---- NL(v) = nl(nlStart(v) until nlStart(v + 1)): every pair of v, alive
@@ -181,7 +199,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     val a = vertexIds.get(u)
     val b = vertexIds.get(v)
     val p = if (a < 0 || b < 0) -1 else pairIds.get(pairKey(a, b))
-    if (p < 0) 0 else strength(p)
+    if (p < 0) 0 else math.max(strength(p), 0)
   }
 
   /** `get_TTI` (Table 1): head and tail of the timeline, O(1). */
@@ -191,45 +209,43 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   def maxTimestamp: Option[Int] = if (nAlive == 0) None else Some(et(tail))
 
   /** Alive distinct timestamps in ascending order (scans the timeline). */
-  def timestamps: Vector[Int] = aliveIds().iterator.map(et(_)).distinct.toVector
+  def timestamps: Vector[Int] = edges.map(_.t).distinct
 
   /** All alive edges in timeline order. */
-  def edges: Vector[TemporalEdge] = slice(aliveIds())()
+  def edges: Vector[TemporalEdge] = aliveEdges()()
 
   /** Snapshot the current graph as a [[CoreResult]] handle (None when
-    * empty): one timeline scan freezes the alive edge ids, and the sizes are
-    * the O(1) counters. The handle's edges are built from the write-once
-    * columns on first read, so later `truncate`, `decompose` or `addEdge`
-    * calls on this TEL or its copies do not change them.
+    * empty), in O(1): the sizes are the counters, and the handle keeps the
+    * timeline's ends and `clock` over this TEL's `strength` array and
+    * write-once columns. It builds its edges on first read, from the pairs
+    * alive now or stamped dead since (see the class doc), so later
+    * `truncate`, `decompose` or `addEdge` calls on this TEL or its copies do
+    * not change them.
     */
-  def snapshot(): Option[CoreResult] =
-    tti.map(i => CoreResult.deferred(i, nLive, nAlive)(slice(aliveIds())))
-
-  /** Alive edge ids in timeline order, O(slots in `[head, tail]`). */
-  private def aliveIds(): Array[Int] = {
-    val ids = new Array[Int](nAlive)
-    var n = 0
-    var e = head
-    while (e <= tail) { if (strength(epair(e)) > 0) { ids(n) = e; n += 1 }; e += 1 }
-    ids
+  def snapshot(): Option[CoreResult] = tti.map { i =>
+    ownsStrength = false
+    CoreResult.deferred(i, nLive, nAlive)(aliveEdges())
   }
 
-  /** Builds the edges `ids` from the write-once columns as they are now.
-    * The builder holds the column arrays, not this TEL: slots below the
-    * current counts are never written again (`append` and `newVertex` write
-    * only fresh slots; growth and copy-on-write move to new arrays), so it
-    * returns the same edges however this TEL changes later.
+  /** Builds, when called, the edges alive now: one scan of the slots in
+    * `[head, tail]` that keeps those whose pair has strength or died after
+    * the current `clock`. It holds the arrays, not this TEL: deletions only
+    * stamp later deaths or lower surviving strengths, an `addEdge` after a
+    * snapshot first seals, and slots below the current counts of the
+    * write-once columns are never written again (`append` and `newVertex`
+    * write only fresh slots; growth and copy-on-write move to new arrays).
     */
-  private def slice(ids: Array[Int]): () => Vector[TemporalEdge] = {
-    val u = eu; val v = ev; val t = et; val x = ext
+  private def aliveEdges(): () => Vector[TemporalEdge] = {
+    val from = head; val to = tail; val at = clock; val n = nAlive
+    val u = eu; val v = ev; val t = et; val pe = epair; val x = ext; val s = strength
     () => {
       val b = Vector.newBuilder[TemporalEdge]
-      b.sizeHint(ids.length)
-      var i = 0
-      while (i < ids.length) {
-        val e = ids(i)
-        b += TemporalEdge(x(u(e)), x(v(e)), t(e))
-        i += 1
+      b.sizeHint(n)
+      var e = from
+      while (e <= to) {
+        val c = s(pe(e))
+        if (c > 0 || -c > at) b += TemporalEdge(x(u(e)), x(v(e)), t(e))
+        e += 1
       }
       b.result()
     }
@@ -342,7 +358,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     nAlive += 1
     eu(e) = u; ev(e) = v; et(e) = t; epair(e) = p
     tail = e // an empty TEL already has head = e
-    val c = strength(p) + 1
+    val c = math.max(strength(p), 0) + 1
     strength(p) = c
     if (c == 1) { gainNeighbour(u); gainNeighbour(v) }
     if (c < h) weak = true
@@ -366,6 +382,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
       s"every alive one, but ${nEdges - head - nAlive} lie inside the timeline or after it")
     dictionaries()
     ownColumns()
+    // The seal: a pair revived below must not show in an earlier handle.
+    if (!ownsStrength) { strength = copyOf(strength, strength.length); ownsStrength = true }
     // New or revived vertices may sit below k without ever crossing it.
     peelK = 0
     val a = vertexSlot(u)
@@ -388,28 +406,29 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     else {
       nAlive -= 1
       strength(p) -= 1
-      if (e == head) { head += 1; while (strength(epair(head)) == 0) head += 1 }
-      else { tail -= 1; while (strength(epair(tail)) == 0) tail -= 1 }
+      if (e == head) { head += 1; while (strength(epair(head)) <= 0) head += 1 }
+      else { tail -= 1; while (strength(epair(tail)) <= 0) tail -= 1 }
     }
   }
 
-  /** Deletes every alive edge of pair `p` at once: with strength 0, none of
-    * its slots is alive, and both endpoints of its first edge lose a
-    * neighbour. Then both ends of the timeline settle: they move inward past
-    * slots whose pair has strength 0, so each sits on an alive edge again; an
-    * empty TEL gets `head = nEdges`, `tail = nEdges - 1`, where its next
-    * append starts. Between appends the ends only move inward, so all
-    * settling of a TEL costs O(slots) in total, and a deletion O(1) plus its
-    * share of that.
+  /** Deletes every alive edge of pair `p` at once: its strength becomes its
+    * death stamp `-clock`, so none of its slots is alive, and both endpoints
+    * of its first edge lose a neighbour. Then both ends of the timeline
+    * settle: they move inward past slots whose pair is dead, so each sits on
+    * an alive edge again; an empty TEL gets `head = nEdges`,
+    * `tail = nEdges - 1`, where its next append starts. Between appends the
+    * ends only move inward, so all settling of a TEL costs O(slots) in
+    * total, and a deletion O(1) plus its share of that.
     */
   private def deletePair(p: Int): Unit = {
     nAlive -= strength(p)
-    strength(p) = 0
+    clock += 1
+    strength(p) = -clock
     loseNeighbour(eu(pairEdge(p))); loseNeighbour(ev(pairEdge(p)))
     if (nAlive == 0) { head = nEdges; tail = nEdges - 1 }
     else {
-      while (strength(epair(head)) == 0) head += 1
-      while (strength(epair(tail)) == 0) tail -= 1
+      while (strength(epair(head)) <= 0) head += 1
+      while (strength(epair(tail)) <= 0) tail -= 1
     }
   }
 
@@ -546,7 +565,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     t.ext = ext; t.nl = nl; t.nlStart = nlStart; t.ownsColumns = false
     t.nEdges = nEdges; t.nAlive = nAlive; t.head = head; t.tail = tail
     t.degree = copyOf(degree, nVerts); t.nVerts = nVerts; t.nLive = nLive
-    t.strength = copyOf(strength, nPairs); t.nPairs = nPairs; t.weak = weak
+    t.strength = copyOf(strength, nPairs); t.nPairs = nPairs; t.weak = weak; t.clock = clock
     t
   }
 

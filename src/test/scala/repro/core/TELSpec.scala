@@ -503,6 +503,48 @@ class TELSpec extends AnyFunSuite {
     }
   }
 
+  /** A TEL whose pair (3,4) is peeled while its slots lie inside the
+    * timeline: a triangle on 1..3 with the pendant (3,4) between its edges,
+    * every pair doubled so that h = 2 keeps them.
+    */
+  private def peeledInside(h: Int): TEL = {
+    def two(u: Long, v: Long, at: Int) = Vector.fill(2)(TemporalEdge(u, v, at))
+    val t = tel(two(1, 2, 1) ++ two(3, 4, 2) ++ two(2, 3, 3) ++ two(1, 3, 4), h)
+    t.decompose(2)
+    assert(t.numAliveEdges == 6, s"h=$h")
+    t
+  }
+
+  test("strengthOf reads 0 for a peeled pair and counts from 1 once addEdge revives it") {
+    for (h <- 1 to 2) {
+      val t = peeledInside(h)
+      assert(t.strengthOf(3, 4) == 0 && t.strengthOf(4, 3) == 0, s"h=$h")
+      t.truncate(3, Int.MaxValue) // every dead slot now precedes the timeline
+      assert(t.strengthOf(1, 2) == 0, s"h=$h")
+      t.addEdge(4, 3, 5)
+      assert(t.strengthOf(3, 4) == 1 && t.degreeOf(4) == 1, s"h=$h")
+      t.addEdge(2, 1, 5)
+      assert(t.strengthOf(1, 2) == 1 && t.strengthOf(3, 4) == 1, s"h=$h")
+    }
+  }
+
+  test("a snapshot handle keeps its core when addEdge revives a pair it read as dead") {
+    // The handle's slot range covers (3,4)'s dead slots; the revival must
+    // not make them read as alive in it.
+    for (h <- 1 to 2) {
+      val t = peeledInside(h)
+      val c = t.snapshot().get
+      val edges = t.edges
+      val vertices = t.vertices.toSet
+      t.truncate(3, Int.MaxValue)
+      t.addEdge(3, 4, 5)
+      assert(t.strengthOf(3, 4) == 1, s"h=$h")
+      assert(c.numEdges == edges.size && c.numVertices == vertices.size, s"h=$h")
+      assert(c.edges == edges, s"h=$h: edges")
+      assert(c.vertices == vertices, s"h=$h: vertices")
+    }
+  }
+
   test("snapshot vertices equal edge endpoints") {
     val t = tel(TestGraphs.example)
     t.tcd(2, 1, 5)
