@@ -86,7 +86,8 @@ private[core] final class LongIntMap(expected: Int) {
   * first alive edge adds 1 at both endpoints, and deleting the pair takes
   * it off. NL is built by the first `decompose` or `copy()` that finds it
   * does not cover every pair, is never written afterwards, and is shared by
-  * copies; masters, which only append and `copyRange`, hold none.
+  * copies; masters, which only append and `copyRange`, hold none, and one
+  * that gains pairs after an NL was built gets a fresh one the same way.
   *
   * Every edge stores its endpoints, its pair slot and its timestamp, all
   * written once, so `del_edge` and with it `truncate` and `decompose` touch
@@ -103,14 +104,11 @@ private[core] final class LongIntMap(expected: Int) {
   * write-once columns by reference. On first read it keeps the slots `e` of
   * its range with `s > 0 || -s > clock`, where `s = strength(epair(e))`: the
   * pairs alive now, or dead since the snapshot. A later deletion stamps a
-  * newer death or lowers a surviving pair's strength, so these are exactly
-  * the edges alive at the snapshot. Only an append could revive a pair the
-  * handle reads as dead, so the first `addEdge` after a snapshot gives this
-  * TEL a fresh copy of `strength` (the seal), and the handle's array is
-  * never written again. The clock cannot wrap: each stamp kills at least
-  * one alive slot, and a dead slot never comes back (`addEdge` keeps every
-  * dead slot before `head`), so `clock` stays below `nEdges`. Without
-  * appends a pair dies at most once, so it stays at or below `nPairs`.
+  * newer death or lowers a surviving pair's strength, and a later append,
+  * which only a TEL that has deleted nothing takes, raises a positive
+  * strength or writes slots past the handle's range, so these are exactly
+  * the edges alive at the snapshot. No dead pair is ever revived: a pair
+  * dies at most once, so `clock <= nPairs` and the clock cannot wrap.
   *
   * The §6.2 purge defers no work. Truncation deletes a whole pair once its
   * strength would fall below `h`; an append that leaves a pair in `(0, h)`
@@ -120,8 +118,8 @@ private[core] final class LongIntMap(expected: Int) {
   *
   * Copies cost no hashing. `copy()` copies two arrays, `degree` and
   * `strength`, O(|V| + pairs), and carries `clock`; the write-once columns,
-  * every per-edge array and NL among them, are shared with the source until
-  * the copy's first `addEdge` (copy-on-write);
+  * every per-edge array and NL among them, are shared with the source, which
+  * appends only into slots past the copy's counts or into grown arrays;
   * `copyRange(ts, te)` finds the window's edge slots by binary search on the
   * timestamps and compacts its alive edges, their vertices and pairs into
   * fresh ids through array remaps, so the result is sized by the window, not
@@ -134,9 +132,10 @@ private[core] final class LongIntMap(expected: Int) {
   *
   * Instances are single-threaded and mutable. `addEdge` implements the
   * dynamic-graph extension (§6.1): timestamps may only append at or after the
-  * last appended one, and only while every deleted edge comes before every
-  * alive one, so that no dead slot lies inside the grown timeline. Masters
-  * never delete, and TCQ's copies never append.
+  * last appended one, and only to a TEL that has deleted no edge and was not
+  * made by `copy()`. As in the paper, only the master grows, and every query
+  * works on a copy of it (§5.2): masters never delete, and copies never
+  * append.
   *
   * @param h link-strength lower bound (§6.2); 1 = plain TCQ semantics
   */
@@ -163,8 +162,6 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var pairEdge, strength: Array[Int] = new Array[Int](16)
   private var nPairs = 0
   private var clock = 0 // the last death stamp: pair deletions so far
-  // False once a snapshot handle reads `strength`; the next addEdge seals.
-  private var ownsStrength = true
   private var weak = false // an append may have left a pair in (0, h) (§6.2)
 
   // ---- NL(v) = nl(nlStart(v) until nlStart(v + 1)): every pair of v, alive
@@ -176,9 +173,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
   private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
-  // False while the write-once columns (eu, ev, et, epair, pairEdge, ext, nl,
-  // nlStart) are shared with the TEL this one was copied from; the first
-  // addEdge copies them, and drops NL.
+  // False for a TEL made by copy(): it shares the write-once columns (eu, ev,
+  // et, epair, pairEdge, ext, nl, nlStart) with its source, and never appends.
   private var ownsColumns = true
 
   // ---------------------------------------------------------------- queries
@@ -222,18 +218,16 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * `truncate`, `decompose` or `addEdge` calls on this TEL or its copies do
     * not change them.
     */
-  def snapshot(): Option[CoreResult] = tti.map { i =>
-    ownsStrength = false
-    CoreResult.deferred(i, nLive, nAlive)(aliveEdges())
-  }
+  def snapshot(): Option[CoreResult] =
+    tti.map(i => CoreResult.deferred(i, nLive, nAlive)(aliveEdges()))
 
   /** Builds, when called, the edges alive now: one scan of the slots in
     * `[head, tail]` that keeps those whose pair has strength or died after
     * the current `clock`. It holds the arrays, not this TEL: deletions only
-    * stamp later deaths or lower surviving strengths, an `addEdge` after a
-    * snapshot first seals, and slots below the current counts of the
-    * write-once columns are never written again (`append` and `newVertex`
-    * write only fresh slots; growth and copy-on-write move to new arrays).
+    * stamp later deaths or lower surviving strengths, appends only raise
+    * positive ones, and slots below the current counts of the write-once
+    * columns are never written again (`append`, `newVertex` and `newPair`
+    * write only fresh slots; growth moves to new arrays).
     */
   private def aliveEdges(): () => Vector[TemporalEdge] = {
     val from = head; val to = tail; val at = clock; val n = nAlive
@@ -333,23 +327,11 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     while (p < nPairs) { pairIds.getOrPut(pairKey(eu(pairEdge(p)), ev(pairEdge(p))), p); p += 1 }
   }
 
-  /** Copy-on-write: gives a copy private write-once columns before its first
-    * append, so it never writes into an array another instance reads. They
-    * are cut to the used prefix like the copy's other arrays, so the next
-    * append grows them all together.
-    */
-  private def ownColumns(): Unit = if (!ownsColumns) {
-    eu = copyOf(eu, nEdges); ev = copyOf(ev, nEdges)
-    et = copyOf(et, nEdges); epair = copyOf(epair, nEdges)
-    pairEdge = copyOf(pairEdge, nPairs); ext = copyOf(ext, nVerts)
-    nl = null; nlStart = null // the next decompose or copy() builds this TEL's own
-    ownsColumns = true
-  }
-
   /** Appends edge `(u, v, t)` of pair `p` in local ids as the new tail of
     * the timeline, plus the strength update; a pair's first alive edge also
     * adds a neighbour to `u` and `v`. The caller keeps `t` no earlier
-    * than the last appended edge's, and every dead slot before `head`.
+    * than the last appended edge's, on a TEL that has deleted nothing, so no
+    * strength is negative.
     */
   private def append(u: Int, v: Int, p: Int, t: Int): Unit = {
     if (nEdges == eu.length) growEdges()
@@ -358,7 +340,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     nAlive += 1
     eu(e) = u; ev(e) = v; et(e) = t; epair(e) = p
     tail = e // an empty TEL already has head = e
-    val c = math.max(strength(p), 0) + 1
+    val c = strength(p) + 1
     strength(p) = c
     if (c == 1) { gainNeighbour(u); gainNeighbour(v) }
     if (c < h) weak = true
@@ -366,25 +348,22 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`,
     * non-negative ids (the id dictionary keeps -1 as its empty key), and `t`
-    * no earlier than the last appended edge's timestamp, alive or not, so
-    * edge ids stay in timestamp order. Also requires every deleted edge to
-    * come before every alive one — the TEL is empty, or its alive edges are
-    * exactly the slots from `head` on — as after head truncations only; a
-    * dead slot inside the grown timeline would otherwise read as alive again
-    * once its pair gained an edge.
+    * no earlier than the last appended edge's timestamp, so edge ids stay in
+    * timestamp order. Also requires a TEL that has deleted no edge and was
+    * not made by `copy()`: only the master grows, and queries work on copies
+    * of it (§5.2). So no dead pair is ever revived, which keeps the handles
+    * and copies of this TEL exact, and no copy writes into shared columns.
     */
   def addEdge(u: Long, v: Long, t: Int): Unit = {
     require(u != v, s"self-loop ($u,$v,$t) not allowed")
     require(u >= 0 && v >= 0, s"vertex ids must be non-negative, got ($u,$v)")
     require(nEdges == 0 || t >= et(nEdges - 1),
       s"timestamps must be appended in order: $t < ${et(nEdges - 1)}")
-    require(nAlive == 0 || head + nAlive == nEdges, "addEdge needs every deleted edge before " +
-      s"every alive one, but ${nEdges - head - nAlive} lie inside the timeline or after it")
+    require(ownsColumns && nAlive == nEdges, "addEdge needs a TEL that is not a copy and has " +
+      s"deleted no edge; copy = ${!ownsColumns}, deleted edges = ${nEdges - nAlive}")
     dictionaries()
-    ownColumns()
-    // The seal: a pair revived below must not show in an earlier handle.
-    if (!ownsStrength) { strength = copyOf(strength, strength.length); ownsStrength = true }
-    // New or revived vertices may sit below k without ever crossing it.
+    // New vertices may sit below k without ever crossing it, even after a
+    // decompose that deleted nothing.
     peelK = 0
     val a = vertexSlot(u)
     val b = vertexSlot(v)
@@ -416,9 +395,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * of its first edge lose a neighbour. Then both ends of the timeline
     * settle: they move inward past slots whose pair is dead, so each sits on
     * an alive edge again; an empty TEL gets `head = nEdges`,
-    * `tail = nEdges - 1`, where its next append starts. Between appends the
-    * ends only move inward, so all settling of a TEL costs O(slots) in
-    * total, and a deletion O(1) plus its share of that.
+    * `tail = nEdges - 1`. A TEL that has deleted never appends, so its ends
+    * only move inward, all settling of a TEL costs O(slots) in total, and a
+    * deletion O(1) plus its share of that.
     */
   private def deletePair(p: Int): Unit = {
     nAlive -= strength(p)
@@ -457,9 +436,10 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     *
     * Once a `decompose(k)` has run, every live vertex below `k` is on the
     * `below` stack: deleting a pair pushes an endpoint whose degree drops
-    * from `k` to `k - 1`. A new `k`, or an `addEdge` since, needs one
-    * scan of the degrees. Without appends degrees only fall, so each live vertex is
-    * pushed at most once per scan and the stack never outgrows `nLive`.
+    * from `k` to `k - 1`. A new `k`, or an `addEdge` since (after a
+    * `decompose` that deleted nothing), needs one scan of the degrees. Without
+    * appends degrees only fall, so each live vertex is pushed at most once per
+    * scan and the stack never outgrows `nLive`.
     */
   def decompose(k: Int): Unit = {
     purgeWeak()
@@ -552,11 +532,11 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * used prefix, O(|V| + pairs) with no hashing. The write-once columns
     * (every per-edge array, the pairs' first edges, the external ids and NL,
     * built here first if it does not cover every pair, so that all copies of
-    * this TEL share one) are shared with this TEL until the copy's first
-    * `addEdge`; since liveness follows from the timeline's ends and the
-    * strengths, the copy needs no per-edge state of its own. The copy starts
-    * without the peel stack and dictionaries and builds them when first
-    * needed.
+    * this TEL share one) are shared with this TEL, which appends only into
+    * fresh slots or grown arrays, and the copy never appends; since liveness
+    * follows from the timeline's ends and the strengths, the copy needs no
+    * per-edge state of its own. The copy starts without the peel stack and
+    * dictionaries and builds them when first needed.
     */
   def copy(): TEL = {
     buildNl()
@@ -573,8 +553,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * counted from their allocated lengths with a 16-byte header per array.
     * Pointers in the paper's TEL correspond to the Int slots of NL here.
     * Write-once columns shared between copies count only in the instance
-    * that allocated them, so a copy that has not appended yet counts none;
-    * a TEL holds its own NL only while it owns its columns.
+    * that allocated them, so a `copy()` counts none, NL included: its source
+    * built the NL it shares, and it never gains a pair.
     */
   def memoryFootprintBytes: Long = {
     def ints(as: Array[Int]*): Long = as.filter(_ != null).map(a => arrayBytes(a.length, 4)).sum

@@ -5,17 +5,21 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Differential tests for `TEL.copy` / `copyRange`: a copy, and the source
   * it was taken from, must both behave exactly like a TEL built from scratch
-  * over the edges they hold, through later appends and TCD operations. A
-  * source compacted by a `copyRange` over its whole timeline, as a TCQ row
-  * source is, must also behave exactly like one that went through the same
-  * truncations and decompositions uncompacted. Appends come where `addEdge`
-  * allows them: before any deletion, after head truncations, or on a
-  * `copyRange` result.
+  * over the edges they hold, through later appends and TCD operations. Appends
+  * come where `addEdge` allows them, on a TEL that has deleted nothing and
+  * was not made by `copy()`: the source before its first deletion, and a
+  * `copyRange` result. The source's appends must never show in a `copy()`
+  * taken before them. A source compacted by a `copyRange` over its whole
+  * timeline, as a TCQ row source is, must also behave exactly like one that
+  * went through the same truncations and decompositions uncompacted.
   */
 class TELCopySpec extends AnyFunSuite {
   import TELCopySpec.Scenario
 
   private val nV = 8
+  // Appends also bring in vertices nV until nAll, enough to take a TEL past
+  // its 16 initial vertex and pair slots.
+  private val nAll = 24
   private val horizon = 10
 
   private val window: Gen[(Int, Int)] = for {
@@ -28,30 +32,36 @@ class TELCopySpec extends AnyFunSuite {
     d <- Gen.choose(1, nV - 1)
   } yield TemporalEdge(u.toLong, ((u + d) % nV).toLong, t)
 
+  /** An appended edge: on the built vertices, or with a new one. */
+  private def appended(t: Int): Gen[TemporalEdge] = Gen.oneOf(edge(t), for {
+    v <- Gen.choose(nV, nAll - 1)
+    u <- Gen.choose(0, nAll - 2)
+  } yield TemporalEdge(if (u < v) u.toLong else u + 1L, v.toLong, t))
+
   private val scenario: Gen[Scenario] = for {
     h <- Gen.choose(1, 3)
     n <- Gen.choose(0, 50)
     edges <- Gen.listOfN(n, Gen.choose(1, horizon).flatMap(edge))
-    // At h > 1 a truncation also purges weak pairs anywhere on the timeline,
-    // after which `addEdge` refuses to append.
-    headCut <- if (h == 1) Gen.option(Gen.choose(0, horizon + 1)) else Gen.const(None)
+    grown <- Gen.oneOf(false, true)
     truncateTo <- Gen.option(window)
     decomposeK <- Gen.option(Gen.choose(1, 3))
     compaction <- Gen.oneOf(Gen.const(None), Gen.option(window).map(Some(_)))
     range <- Gen.option(window)
-    m <- Gen.choose(0, 12)
+    m <- Gen.choose(0, 16)
     gaps <- Gen.listOfN(m, Gen.choose(0, 1)) // 0 = same timestamp as the previous append
     appends <- Gen.sequence[Vector[TemporalEdge], TemporalEdge](
-      gaps.scanLeft(horizon + 1)(_ + _).tail.map(edge))
+      gaps.scanLeft(horizon + 1)(_ + _).tail.map(appended))
     k <- Gen.choose(1, 3)
     w <- window
-  } yield Scenario(h, edges.toVector, headCut, truncateTo, decomposeK, compaction, range, appends,
+  } yield Scenario(h, edges.toVector, grown, truncateTo, decomposeK, compaction, range, appends,
     k, w)
 
   /** Compactions counted across all cases: of a source with fewer than half
-    * of its edge slots alive, and of one with §6.2 purges still pending.
+    * of its edge slots alive, and of one with §6.2 purges still pending. And
+    * `copy()`s whose source then appends past 16 vertices, so that its vertex
+    * and pair columns grow into new arrays after the copy.
     */
-  private var sparseCompactions, pendingCompactions = 0
+  private var sparseCompactions, pendingCompactions, grownAfterCopy = 0
 
   /** Every observable the TEL offers, compared with a from-scratch TEL. */
   private def sameAs(got: TEL, exp: TEL, what: String): Unit = {
@@ -61,31 +71,40 @@ class TELCopySpec extends AnyFunSuite {
     assert(got.numAliveEdges == exp.numAliveEdges, s"$what: numAliveEdges")
     assert(got.numVertices == exp.numVertices, s"$what: numVertices")
     assert(got.vertices.toSet == exp.vertices.toSet, s"$what: vertices")
-    for (u <- 0 until nV + 1) {
+    for (u <- 0 until nAll + 1) {
       assert(got.degreeOf(u) == exp.degreeOf(u), s"$what: degreeOf($u)")
-      for (v <- 0 until nV + 1 if v != u)
+      for (v <- 0 until nAll + 1 if v != u)
         assert(got.strengthOf(u, v) == exp.strengthOf(u, v), s"$what: strengthOf($u, $v)")
     }
   }
 
   private def run(s: Scenario): Unit = {
-    var source = TEL.fromEdges(s.edges, s.h)
+    var source = if (!s.grown) TEL.fromEdges(s.edges, s.h) else {
+      val t = TEL.empty(s.h)
+      s.edges.sortBy(_.t).foreach(e => t.addEdge(e.u, e.v, e.t))
+      t
+    }
     // Compaction as a TCQ row source gets it: replaced by a whole-timeline copyRange.
     def rebuildSource(): Unit = source = source.copyRange(Int.MinValue, Int.MaxValue)
     def copyOf(t: TEL): TEL = s.range.fold(t.copy()) { case (a, b) => t.copyRange(a, b) }
     def inRange(es: Vector[TemporalEdge]) =
       s.range.fold(es) { case (a, b) => es.filter(e => e.t >= a && e.t <= b) }
-    s.headCut.foreach(a => source.truncate(a, Int.MaxValue))
     val before = source.edges
     val copy = copyOf(source)
     val copied = inRange(before)
     sameAs(copy, TEL.fromEdges(copied, s.h), "copy")
 
-    // Interleaved appends: source and copy must not share any state.
-    s.appends.foreach { e =>
-      source.addEdge(e.u, e.v, e.t)
-      copy.addEdge(e.u, e.v, e.t)
+    // The source appends, and a copy() shares its columns but sees none of it:
+    // the appends go into grown arrays, or, on a grown source, into spare
+    // slots of the shared ones. A copyRange result owns its columns and
+    // appends the same edges itself.
+    s.appends.foreach(e => source.addEdge(e.u, e.v, e.t))
+    val copyEdges = if (s.range.isEmpty) copied else {
+      s.appends.foreach(e => copy.addEdge(e.u, e.v, e.t))
+      copied ++ s.appends
     }
+    if (s.range.isEmpty && (before ++ s.appends).flatMap(e => Seq(e.u, e.v)).distinct.size > 16)
+      grownAfterCopy += 1
     // Appends leave pairs below h pending (§6.2) until the next truncate or
     // decompose; compaction must carry them over.
     if (s.compaction.isDefined) {
@@ -93,7 +112,7 @@ class TELCopySpec extends AnyFunSuite {
           .exists(_._2.size < s.h)) pendingCompactions += 1
       rebuildSource()
     }
-    val expCopy = TEL.fromEdges(copied ++ s.appends, s.h)
+    val expCopy = TEL.fromEdges(copyEdges, s.h)
     val plain = TEL.fromEdges(before ++ s.appends, s.h) // the same operations, never compacted
     sameAs(source, plain, "source after appends")
     sameAs(copy, expCopy, "copy after appends")
@@ -120,7 +139,7 @@ class TELCopySpec extends AnyFunSuite {
     val again = copy.copy()
     val (ts, te) = s.window
     for ((got, exp, what) <- Seq((copy, expCopy, "copy"), (source, plain, "source"),
-        (again, TEL.fromEdges(copied ++ s.appends, s.h), "copy of copy"),
+        (again, TEL.fromEdges(copyEdges, s.h), "copy of copy"),
         (late, TEL.fromEdges(lateEdges, s.h), "late copy"))) {
       got.tcd(s.k, ts, te)
       exp.tcd(s.k, ts, te)
@@ -134,8 +153,9 @@ class TELCopySpec extends AnyFunSuite {
     val prop = Prop.forAll(scenario) { s => run(s); true }
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(800), prop)
     assert(result.passed, result.status.toString)
-    assert(sparseCompactions > 0 && pendingCompactions > 0,
-      s"generator coverage: sparse=$sparseCompactions pending=$pendingCompactions")
+    assert(sparseCompactions > 0 && pendingCompactions > 0 && grownAfterCopy > 0,
+      s"generator coverage: sparse=$sparseCompactions pending=$pendingCompactions " +
+        s"grown=$grownAfterCopy")
   }
 
   test("copy keeps the link-strength purges pending in its source") {
@@ -156,19 +176,20 @@ class TELCopySpec extends AnyFunSuite {
 }
 
 object TELCopySpec {
-  /** One scenario: a random multigraph, the head truncation of the source
-    * before the copy, which copy is taken, the appends that follow on both,
-    * the truncation and decomposition of the source after them, and the TCD
-    * operation that ends it; a copy of the same kind is taken again after
-    * those deletions. `compaction`, when present, compacts the source twice:
-    * after the appends, and after its truncation and decomposition (first
-    * truncated again to the inner window if one is given, then decomposed
-    * again afterwards).
+  /** One scenario: a random multigraph, built at its exact size or `grown`
+    * by appends to an empty TEL (so its columns have spare slots), which copy
+    * is taken of it, the appends that follow on the source (and on a
+    * `copyRange` copy), the truncation and decomposition of the source after
+    * them, and the TCD operation that ends it; a copy of the same kind is
+    * taken again after those deletions. `compaction`, when present, compacts
+    * the source twice: after the appends, and after its truncation and
+    * decomposition (first truncated again to the inner window if one is
+    * given, then decomposed again afterwards).
     */
   final case class Scenario(
       h: Int,
       edges: Vector[TemporalEdge],
-      headCut: Option[Int],
+      grown: Boolean,
       truncateTo: Option[(Int, Int)],
       decomposeK: Option[Int],
       compaction: Option[Option[(Int, Int)]],

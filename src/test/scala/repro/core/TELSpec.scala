@@ -74,28 +74,45 @@ class TELSpec extends AnyFunSuite {
   }
 
   test("addEdge rejects a timestamp below the last appended edge, even after truncate removed it") {
-    val t = tel(Vector(TemporalEdge(1, 2, 3), TemporalEdge(2, 3, 7)))
-    t.truncate(8, Int.MaxValue) // both edges are gone, the one at 7 too
-    assert(t.isEmpty && t.maxTimestamp.isEmpty)
+    val es = Vector(TemporalEdge(1, 2, 3), TemporalEdge(2, 3, 7))
+    val cut = tel(es)
+    cut.truncate(8, Int.MaxValue) // both edges are gone, the one at 7 too
+    assert(cut.isEmpty && cut.maxTimestamp.isEmpty)
+    val late = intercept[IllegalArgumentException](cut.addEdge(3, 4, 5))
+    assert(late.getMessage.contains("5 < 7"), late.getMessage)
+    // A truncation and a peel that delete nothing leave the TEL appendable.
+    val t = tel(es)
+    t.truncate(3, 7)
+    t.decompose(1)
     val err = intercept[IllegalArgumentException](t.addEdge(3, 4, 5))
     assert(err.getMessage.contains("5 < 7"), err.getMessage)
     t.addEdge(3, 4, 7)
-    t.addEdge(2, 1, 9) // revives the truncated pair (1,2)
-    assert(t.edges == Vector(TemporalEdge(3, 4, 7), TemporalEdge(2, 1, 9)))
-    assert(t.timestamps == Vector(7, 9) && t.strengthOf(1, 2) == 1 && t.degreeOf(2) == 1)
+    t.addEdge(2, 1, 9)
+    assert(t.edges == es ++ Vector(TemporalEdge(3, 4, 7), TemporalEdge(2, 1, 9)))
+    assert(t.timestamps == Vector(3, 7, 9) && t.strengthOf(1, 2) == 2 && t.degreeOf(3) == 2)
   }
 
-  test("addEdge appends only while every deleted edge precedes every alive one") {
-    // A dead slot inside the grown timeline would read as alive again once
-    // its pair gained an edge, so appends after a tail truncation, a peel or
-    // a purge are refused and leave the TEL as it was.
+  test("addEdge refuses a copy and every TEL that has deleted an edge, and leaves it as it was") {
+    // Only the master grows (§6.1), and it never deletes; queries work on
+    // copies of it (§5.2). An in-order append of a new vertex is refused on
+    // each of these.
     def refuses(t: TEL, what: String): Unit = {
-      val before = t.edges
-      val err = intercept[IllegalArgumentException](t.addEdge(4, 3, 9))
-      assert(err.getMessage.contains("every deleted edge before every alive one"), s"$what: $err")
-      assert(t.edges == before && t.strengthOf(3, 4) == 0, what)
+      val (edges, vertices, tti) = (t.edges, t.vertices.toSet, t.tti)
+      val err = intercept[IllegalArgumentException](t.addEdge(4, 5, 9))
+      assert(err.getMessage.contains("not a copy and has deleted no edge"), s"$what: $err")
+      assert(t.edges == edges && t.vertices.toSet == vertices && t.tti == tti, what)
+      assert(t.numAliveEdges == edges.size && t.numVertices == vertices.size, what)
+      assert(t.strengthOf(4, 5) == 0 && t.degreeOf(5) == 0, what)
     }
     val path = Vector(TemporalEdge(1, 2, 1), TemporalEdge(2, 3, 2), TemporalEdge(3, 4, 3))
+    val master = tel(path)
+    val copy = master.copy()
+    refuses(copy, "a copy")
+    master.addEdge(4, 5, 9) // the master still appends, and its copy does not see it
+    assert(master.edges == path :+ TemporalEdge(4, 5, 9) && copy.edges == path)
+    val headCut = tel(path)
+    headCut.truncate(2, Int.MaxValue)
+    refuses(headCut, "after a head truncation")
     val tailCut = tel(path)
     tailCut.truncate(1, 2)
     refuses(tailCut, "after a tail truncation")
@@ -113,13 +130,6 @@ class TELSpec extends AnyFunSuite {
     purged.decompose(1)
     assert(purged.strengthOf(1, 3) == 0 && purged.numAliveEdges == 4)
     refuses(purged, "after an h = 2 purge")
-    val headCut = tel(path)
-    headCut.truncate(2, Int.MaxValue)
-    headCut.addEdge(4, 3, 9)
-    headCut.addEdge(2, 1, 9) // revives (1,2)
-    assert(headCut.edges == path.tail ++ Vector(TemporalEdge(4, 3, 9), TemporalEdge(2, 1, 9)))
-    assert(headCut.strengthOf(3, 4) == 2 && headCut.strengthOf(1, 2) == 1)
-    assert(headCut.degreeOf(1) == 1)
   }
 
   test("truncate drops head timestamps") {
@@ -221,15 +231,15 @@ class TELSpec extends AnyFunSuite {
   private val k4PlusTriangle =
     k4 ++ Vector(TemporalEdge(4, 5, 7), TemporalEdge(5, 6, 8), TemporalEdge(4, 6, 9))
 
-  test("decompose after addEdge peels new and revived vertices below k") {
-    val t = tel(TemporalEdge(3, 5, 0) +: triangle)
-    t.truncate(1, Int.MaxValue) // 5 leaves the graph
-    val core = peelsLikeReference(t, triangle, 2)
-    assert(core.size == 3 && t.degreeOf(5) == 0)
-    // 4 is new and 5 was truncated away: both come in at degree 1 without crossing k.
+  test("decompose after addEdge peels new vertices below k") {
+    val t = tel(triangle)
+    assert(peelsLikeReference(t, triangle, 2) == triangle) // deletes nothing, so t still appends
+    // 4 and 5 are new: they come in at degree 1 without crossing k, so the
+    // next decompose(2) must scan the degrees again to find them.
     val appended = Vector(TemporalEdge(3, 4, 4), TemporalEdge(5, 1, 4))
     appended.foreach(e => t.addEdge(e.u, e.v, e.t))
-    peelsLikeReference(t, core ++ appended, 2)
+    assert(t.degreeOf(4) == 1 && t.degreeOf(5) == 1)
+    assert(peelsLikeReference(t, triangle ++ appended, 2) == triangle)
     assert(t.degreeOf(4) == 0 && t.degreeOf(5) == 0)
   }
 
@@ -267,59 +277,63 @@ class TELSpec extends AnyFunSuite {
     assert(core.size == 12 && t.degreeOf(5) == 0)
   }
 
-  test("NL bookkeeping holds for pairs emptied by truncate or decompose and revived by addEdge") {
-    // Every pair holds two edges, so h = 2 keeps them all and a peel at
-    // h = 1 must delete parallel edges. Appends need every deleted edge
-    // before every alive one, so the pairs of vertex 1 come first on the
-    // timeline and the K4 on 2..5 last. Pair (1,2)'s first edge points from 2
-    // to 1: NL and the degree counters reach a pair's endpoints through its
-    // first edge, and must not depend on that edge's orientation.
+  test("NL bookkeeping holds for pairs emptied by truncate or decompose") {
+    // Every pair holds at least two edges, so h = 2 keeps them all and a peel
+    // at h = 1 must delete parallel edges. Pairs (1,2) and (1,4) have a first
+    // edge that points to 1: NL and the degree counters reach a pair's
+    // endpoints through its first edge, and must not depend on that edge's
+    // orientation. The master builds NL in a decompose that deletes nothing
+    // and shares it with `early`; then it gains pairs, so the copy `late`
+    // must get an NL built afresh over all of them, while `early` keeps
+    // reading the first one.
     def two(u: Long, v: Long, at: Int) = Vector.fill(2)(TemporalEdge(u, v, at))
     val k4 = Seq((2L, 3L), (2L, 4L), (2L, 5L), (3L, 4L), (3L, 5L), (4L, 5L))
     for (h <- 1 to 2) {
       val es = Vector(TemporalEdge(2, 1, 0), TemporalEdge(1, 2, 0)) ++ two(1, 3, 1) ++
-        two(1, 4, 1) ++ k4.flatMap { case (u, v) => two(u, v, 1) }
-      val t = tel(es, h)
-      def counts(step: String): Unit = {
+        k4.flatMap { case (u, v) => two(u, v, 1) }
+      val master = tel(es, h)
+      def counts(t: TEL, step: String): Unit = {
         val alive = t.edges
-        for (a <- 1L to 5L) {
+        for (a <- 1L to 6L) {
           val nbrs = alive.collect { case e if e.u == a => e.v; case e if e.v == a => e.u }
           assert(t.degreeOf(a) == nbrs.distinct.size, s"h=$h $step: degreeOf($a)")
-          for (b <- 1L to 5L if b != a) assert(
+          for (b <- 1L to 6L if b != a) assert(
             t.strengthOf(a, b) == alive.count(_.pair == ((a min b, a max b))),
             s"h=$h $step: strengthOf($a, $b)")
         }
         assert(t.numVertices == alive.flatMap(e => Seq(e.u, e.v)).distinct.size, s"h=$h $step")
       }
       // A corrupted NL or degree counter can make a peel loop, so each step gets 10 s.
-      def step(name: String)(mutate: => Unit): Unit = {
+      def step(t: TEL, name: String)(mutate: => Unit): Unit = {
         TestGraphs.within(10)(mutate)
-        counts(name)
+        counts(t, name)
       }
-      def peel(k: Int, size: Int): Unit = assert(peelsLikeReference(t, t.edges, k, h).size == size)
-      def append(es: Seq[TemporalEdge]): Unit = es.foreach(e => t.addEdge(e.u, e.v, e.t))
-      counts("build")
-      step("truncate empties (1,2)")(t.truncate(1, 1))
-      assert(t.strengthOf(1, 2) == 0)
-      step("peeling 1 empties (1,3) and (1,4)")(peel(3, 12))
-      assert(t.degreeOf(1) == 0)
-      step("revive (1,2), (1,3) as before and (1,4) reversed") {
-        append(two(1, 3, 3) ++ two(4, 1, 3) ++ two(1, 2, 3))
+      def peel(t: TEL, k: Int, size: Int): Unit =
+        assert(peelsLikeReference(t, t.edges, k, h).size == size, s"h=$h k=$k")
+      step(master, "a peel that deletes nothing")(peel(master, 1, 16))
+      val early = master.copy()
+      // New pairs (1,4) and, with the new vertex 6, (2,6) and (3,6); and two
+      // more edges of (1,2), at the tail.
+      step(master, "appends") {
+        (two(4, 1, 2) ++ two(6, 2, 2) ++ two(3, 6, 2) ++ two(1, 2, 3))
+          .foreach(e => master.addEdge(e.u, e.v, e.t))
       }
-      step("peel keeps the revived pairs")(peel(3, 18))
-      step("truncate to the revived pairs")(t.truncate(3, 3))
-      step("peel the star")(peel(1, 6))
-      step("peel the star away")(peel(2, 0))
+      val late = master.copy()
+      counts(late, "late copy")
+      step(early, "early: truncate empties (1,2)")(early.truncate(1, 1))
+      assert(early.strengthOf(1, 2) == 0)
+      step(early, "early: peeling 1 empties (1,3)")(peel(early, 3, 12))
+      assert(early.degreeOf(1) == 0)
       // A truncation that cuts part of (1,2)'s tail leaves it alive with its
-      // cut slots past the tail; the peel that deletes the pair must leave
-      // them dead.
-      step("revive a triangle and (3,4), (1,2) with a tail at 5") {
-        append(two(1, 2, 4) ++ two(1, 3, 4) ++ two(2, 3, 4) ++ two(3, 4, 4) ++ two(2, 1, 5))
-      }
-      step("truncate cuts (1,2)'s tail")(t.truncate(4, 4))
-      assert(t.strengthOf(1, 2) == 2)
-      step("peel (3,4) away, keeping the triangle")(peel(2, 6))
-      step("peel the triangle away")(peel(3, 0))
+      // cut slots past the tail; the truncation that deletes the pair later
+      // must leave them dead.
+      step(late, "late: truncate cuts (1,2)'s tail")(late.truncate(0, 2))
+      assert(late.strengthOf(1, 2) == 2)
+      step(late, "late: peel 6 away")(peel(late, 3, 18))
+      step(late, "late: truncate empties (1,2)")(late.truncate(1, 2))
+      step(late, "late: peeling 1 empties (1,3) and (1,4)")(peel(late, 3, 12))
+      step(late, "late: peel the K4 away")(peel(late, 4, 0))
+      step(master, "master: peel 6 away")(peel(master, 3, 20))
     }
   }
 
@@ -449,51 +463,46 @@ class TELSpec extends AnyFunSuite {
   }
 
   test("snapshot handles keep their core through later truncate, decompose and addEdge") {
-    // Source and copy share their write-once columns until each appends an
-    // edge of a different new pair; every handle is read only at the end.
-    // All appends come before the first deletion, as `addEdge` requires at
-    // h = 2, where a truncation also purges weak pairs anywhere.
+    // A master grows by appends, into new vertices and pairs and past the
+    // capacity of every column, and is snapshotted between them; copies
+    // taken along the way share its columns, truncate and decompose. Every
+    // handle is read only at the end.
     for (seed <- 1 to 12; h <- 1 to 2) {
       val es = TestGraphs.random(seed, nV = 12, nE = 50, horizon = 8).sortBy(_.t)
-      val source = TEL.empty(h) // grown by appends, so every column has spare slots
-      es.foreach(e => source.addEdge(e.u, e.v, e.t))
-      val copy = source.copy()
-      val absent = for {
-        a <- 0L until 12L; b <- a + 1 until 12L
-        if !es.exists(e => e.pair == ((a, b)))
-      } yield (a, b)
-      assert(absent.size >= 2, s"seed=$seed")
-      val newInCopy = TemporalEdge(absent.head._1, absent.head._2, 8)
-      val newInSource = TemporalEdge(absent.last._1, absent.last._2, 8)
-      val extra = TestGraphs.random(seed + 100, nV = 16, nE = 6, horizon = 2)
+      val extra = TestGraphs.random(seed + 100, nV = 20, nE = 30, horizon = 2)
         .map(e => e.copy(t = e.t + 8)).sortBy(_.t)
+      val (more, last) = extra.splitAt(15)
+      val master = TEL.empty(h) // grown by appends, so every column has spare slots
+      es.foreach(e => master.addEdge(e.u, e.v, e.t))
       // Each handle, with the edges and vertices of its TEL read at the same moment.
       val taken = Vector.newBuilder[(CoreResult, Vector[TemporalEdge], Set[Long], String)]
-      def takeBoth(step: String): Unit =
-        for ((t, name) <- Seq((source, "source"), (copy, "copy")))
-          t.snapshot().foreach(c => taken += ((c, t.edges, t.vertices.toSet, s"$name $step")))
-      def peelBoth(k: Int): Unit = for (t <- Seq(source, copy)) {
+      def take(t: TEL, what: String): Unit =
+        t.snapshot().foreach(c => taken += ((c, t.edges, t.vertices.toSet, what)))
+      def peel(t: TEL, k: Int): Unit = {
         val alive = t.edges
         t.decompose(k)
         assert(t.snapshot().map(_.canonicalKey) == KCore.core(alive, k, h).map(_.canonicalKey),
           s"seed=$seed h=$h k=$k")
       }
-      takeBoth("as built")
-      copy.addEdge(newInCopy.u, newInCopy.v, newInCopy.t) // the copy appends first
-      source.addEdge(newInSource.u, newInSource.v, newInSource.t)
-      assert(copy.edges == es :+ newInCopy && source.edges == es :+ newInSource, s"seed=$seed h=$h")
-      assert(copy.strengthOf(newInSource.u, newInSource.v) == 0, s"seed=$seed h=$h")
-      assert(source.strengthOf(newInCopy.u, newInCopy.v) == 0, s"seed=$seed h=$h")
-      takeBoth("after one append each")
-      extra.take(3).foreach(e => source.addEdge(e.u, e.v, e.t))
-      extra.drop(3).foreach(e => copy.addEdge(e.u, e.v, e.t))
-      takeBoth("after more appends")
-      source.truncate(2, 9); copy.truncate(3, 9)
-      takeBoth("after truncate")
-      peelBoth(2)
-      takeBoth("after decompose")
-      peelBoth(3)
-      source.tcd(2, 4, 10); copy.tcd(1, 9, 10)
+      take(master, "master as built")
+      val early = master.copy()
+      more.foreach(e => master.addEdge(e.u, e.v, e.t))
+      assert(master.edges == es ++ more && early.edges == es, s"seed=$seed h=$h")
+      take(master, "master after appends")
+      take(early, "early copy as taken")
+      early.truncate(2, 9)
+      take(early, "early copy after truncate")
+      peel(early, 2)
+      take(early, "early copy after decompose")
+      val late = master.copy()
+      last.foreach(e => master.addEdge(e.u, e.v, e.t))
+      take(master, "master after more appends")
+      late.truncate(3, 10)
+      take(late, "late copy after truncate")
+      peel(late, 3)
+      take(late, "late copy after decompose")
+      early.tcd(3, 4, 9); late.tcd(1, 9, 10)
+      peel(master, 2)
       for ((c, edges, vertices, what) <- taken.result()) {
         assert(c.numEdges == edges.size && c.numVertices == vertices.size, s"seed=$seed h=$h $what")
         assert(c.edges == edges, s"seed=$seed h=$h $what: edges")
@@ -515,30 +524,29 @@ class TELSpec extends AnyFunSuite {
     t
   }
 
-  test("strengthOf reads 0 for a peeled pair and counts from 1 once addEdge revives it") {
+  test("strengthOf reads 0 for a peeled or truncated pair, in its TEL and in copies of it") {
     for (h <- 1 to 2) {
       val t = peeledInside(h)
-      assert(t.strengthOf(3, 4) == 0 && t.strengthOf(4, 3) == 0, s"h=$h")
-      t.truncate(3, Int.MaxValue) // every dead slot now precedes the timeline
-      assert(t.strengthOf(1, 2) == 0, s"h=$h")
-      t.addEdge(4, 3, 5)
-      assert(t.strengthOf(3, 4) == 1 && t.degreeOf(4) == 1, s"h=$h")
-      t.addEdge(2, 1, 5)
-      assert(t.strengthOf(1, 2) == 1 && t.strengthOf(3, 4) == 1, s"h=$h")
+      assert(t.strengthOf(3, 4) == 0 && t.strengthOf(4, 3) == 0 && t.degreeOf(4) == 0, s"h=$h")
+      val c = t.copy()
+      c.truncate(3, Int.MaxValue) // (1,2) dies in the copy only
+      assert(c.strengthOf(1, 2) == 0 && c.strengthOf(3, 4) == 0, s"h=$h")
+      assert(c.strengthOf(2, 3) == 2 && c.degreeOf(1) == 1, s"h=$h")
+      assert(t.strengthOf(1, 2) == 2 && t.degreeOf(1) == 2, s"h=$h")
     }
   }
 
-  test("a snapshot handle keeps its core when addEdge revives a pair it read as dead") {
-    // The handle's slot range covers (3,4)'s dead slots; the revival must
-    // not make them read as alive in it.
+  test("a snapshot handle reads a pair peeled before it as dead, and pairs deleted after it as alive") {
+    // The handle's slot range covers (3,4)'s dead slots, stamped before the
+    // handle, and the triangle's, stamped after it by a truncation and a peel.
     for (h <- 1 to 2) {
       val t = peeledInside(h)
       val c = t.snapshot().get
       val edges = t.edges
       val vertices = t.vertices.toSet
-      t.truncate(3, Int.MaxValue)
-      t.addEdge(3, 4, 5)
-      assert(t.strengthOf(3, 4) == 1, s"h=$h")
+      t.truncate(3, Int.MaxValue) // (1,2) dies
+      t.decompose(2) // so do (1,3) and (2,3)
+      assert(t.isEmpty, s"h=$h")
       assert(c.numEdges == edges.size && c.numVertices == vertices.size, s"h=$h")
       assert(c.edges == edges, s"h=$h: edges")
       assert(c.vertices == vertices, s"h=$h: vertices")
