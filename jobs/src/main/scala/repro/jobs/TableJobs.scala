@@ -16,36 +16,21 @@ object JobSession {
       .getOrCreate()
 }
 
-/** `spark-submit` entrypoint reproducing Table 1 (TEL manipulation costs). */
-object Table1Job {
-  def main(args: Array[String]): Unit = println(Tables.table1()._2)
-}
-
-/** `spark-submit` entrypoint reproducing Table 2 (dataset statistics). */
-object Table2Job {
-  def main(args: Array[String]): Unit = println(Tables.table2()._2)
-}
-
-/** `spark-submit` entrypoint reproducing Table 3 (selected queries and the
-  * Baseline/TCD/OTCD response-time comparison of Fig. 7).
+/** `spark-submit` entrypoint reproducing one evaluation table. Usage:
+  * `TableJob <1-6>`: 1 TEL manipulation costs, 2 dataset statistics,
+  * 3 selected queries and the Baseline/TCD/OTCD response times of Fig. 7,
+  * 4 pruning-rule effect, 5 memory consumption, 6 one-day 10-cores.
   */
-object Table3Job {
-  def main(args: Array[String]): Unit = println(Tables.table3()._2)
-}
-
-/** `spark-submit` entrypoint reproducing Table 4 (pruning-rule effect). */
-object Table4Job {
-  def main(args: Array[String]): Unit = println(Tables.table4()._2)
-}
-
-/** `spark-submit` entrypoint reproducing Table 5 (memory consumption). */
-object Table5Job {
-  def main(args: Array[String]): Unit = println(Tables.table5()._2)
-}
-
-/** `spark-submit` entrypoint reproducing Table 6 (one-day 10-cores). */
-object Table6Job {
-  def main(args: Array[String]): Unit = println(Tables.table6()._2)
+object TableJob {
+  def main(args: Array[String]): Unit = println(args.toSeq match {
+    case Seq("1") => Tables.table1()._2
+    case Seq("2") => Tables.table2()._2
+    case Seq("3") => Tables.table3()._2
+    case Seq("4") => Tables.table4()._2
+    case Seq("5") => Tables.table5()._2
+    case Seq("6") => Tables.table6()._2
+    case _ => sys.error(s"usage: TableJob <1-6>, got ${args.mkString(" ")}")
+  })
 }
 
 /** End-to-end Spark pipeline job: dataset → edge DataFrame (Catalyst sort)

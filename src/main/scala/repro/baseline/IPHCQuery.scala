@@ -81,12 +81,8 @@ object IPHCQuery {
           // line 9: collect if non-empty and distinct
           if (eList.nonEmpty) {
             induced += 1
-            val tti = Interval(minT, maxT)
-            if (!seen.add(tti)) duplicates += 1
-            else {
-              val es = eList.iterator.map(winEdges(_)).toVector
-              collected += CoreResult(tti, vSet.keysIterator.toSet, es)
-            }
+            if (!seen.add(Interval(minT, maxT))) duplicates += 1
+            else collected += CoreResult(eList.iterator.map(winEdges(_)).toVector)
           }
         }
       }

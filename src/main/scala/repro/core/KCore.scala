@@ -68,11 +68,6 @@ object KCore {
     val kept = edges.iterator.filter { e =>
       e.u != e.v && verts(e.u) && verts(e.v) && adj(e.u)(e.v) >= h
     }.toVector
-    if (kept.isEmpty) None
-    else {
-      val tmin = kept.iterator.map(_.t).min
-      val tmax = kept.iterator.map(_.t).max
-      Some(CoreResult(Interval(tmin, tmax), verts, kept))
-    }
+    if (kept.isEmpty) None else Some(CoreResult(kept))
   }
 }

@@ -1,17 +1,23 @@
 package repro.core
 
-/** An undirected temporal edge: interaction between `u` and `v` at time `t`.
-  *
-  * Orientation (`u` as source, `v` as destination) is preserved because
-  * every engine stores and returns an edge's endpoints as given, but all
-  * degree semantics are undirected.
+/** An undirected temporal edge: an interaction between `u` and `v` at time
+  * `t`. The endpoints are kept in order, `u <= v`, so an edge equals its
+  * reverse, `TemporalEdge(9, 2, 1) == TemporalEdge(2, 9, 1)`, and every
+  * engine returns edges in this one form.
   */
-final case class TemporalEdge(u: Long, v: Long, t: Int) {
-  /** Canonical undirected endpoint pair (smaller id first). */
-  def pair: (Long, Long) = if (u <= v) (u, v) else (v, u)
+final case class TemporalEdge private (u: Long, v: Long, t: Int) {
+  /** The endpoint pair, smaller id first. */
+  def pair: (Long, Long) = (u, v)
+
+  /** This edge at time `t`: the only `copy`, so none reorders the endpoints. */
+  def copy(t: Int = this.t): TemporalEdge = new TemporalEdge(u, v, t)
 }
 
 object TemporalEdge {
+  /** The edge between `a` and `b` at time `t`, endpoints in order. */
+  def apply(a: Long, b: Long, t: Int): TemporalEdge =
+    if (a <= b) new TemporalEdge(a, b, t) else new TemporalEdge(b, a, t)
+
   /** Packs the canonical pair of `(u, v)` into a single Long key. The key is
     * unique only for ids below 2^31, such as the TEL's dense local ids.
     */
@@ -47,29 +53,35 @@ final class CoreResult private (
     val tti: Interval,
     val numVertices: Int,
     val numEdges: Int,
-    edgesOf: () => Vector[TemporalEdge],
-    verticesOf: Vector[TemporalEdge] => Set[Long]) {
+    edgesOf: () => Vector[TemporalEdge]) {
   lazy val edges: Vector[TemporalEdge] = edgesOf()
-  lazy val vertices: Set[Long] = verticesOf(edges)
-  def canonicalKey: Vector[(Long, Long, Int)] =
-    edges.map(e => { val (a, b) = e.pair; (a, b, e.t) }).sorted
+  /** The endpoints of the edges. */
+  lazy val vertices: Set[Long] = CoreResult.endpoints(edges)
+  def canonicalKey: Vector[(Long, Long, Int)] = edges.map(e => (e.u, e.v, e.t)).sorted
   override def toString: String = s"CoreResult($tti, |V|=$numVertices, |E|=$numEdges)"
 }
 
 object CoreResult {
-  /** A core built eagerly (reference peeling, baseline, Spark engine). */
-  def apply(tti: Interval, vertices: Set[Long], edges: Vector[TemporalEdge]): CoreResult =
-    new CoreResult(tti, vertices.size, edges.size, () => edges, _ => vertices)
+  /** The core made of `edges`, built eagerly (reference peeling, baseline,
+    * Spark engine): its TTI is `[min t, max t]` of the edges.
+    */
+  def apply(edges: Vector[TemporalEdge]): CoreResult = {
+    require(edges.nonEmpty, "a core has at least one edge")
+    val tti = Interval(edges.iterator.map(_.t).min, edges.iterator.map(_.t).max)
+    new CoreResult(tti, endpoints(edges).size, edges.size, () => edges)
+  }
 
   /** A core of `numVertices` vertices and `numEdges` edges that `edges`
-    * builds on first read; its vertices are then those edges' endpoints.
-    * `edges` runs once, at the first read of `edges` or `vertices`; for a
-    * TEL snapshot it is one scan of the snapshot's slot range.
+    * builds on first read. `edges` runs once, at the first read of `edges`
+    * or `vertices`; for a TEL snapshot it is one scan of the snapshot's slot
+    * range.
     */
   def deferred(tti: Interval, numVertices: Int, numEdges: Int)(
       edges: () => Vector[TemporalEdge]): CoreResult =
-    new CoreResult(tti, numVertices, numEdges, edges,
-      _.iterator.flatMap(e => Iterator(e.u, e.v)).toSet)
+    new CoreResult(tti, numVertices, numEdges, edges)
+
+  private def endpoints(edges: Vector[TemporalEdge]): Set[Long] =
+    edges.iterator.flatMap(e => Iterator(e.u, e.v)).toSet
 }
 
 /** The answer to one TCQ instance: all distinct cores, plus run statistics. */

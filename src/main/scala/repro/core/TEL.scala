@@ -79,19 +79,19 @@ private[core] final class LongIntMap(expected: Int) {
   *
   * '''NL(v)''', in place of the paper's SL(v) / DL(v), lists every pair of
   * `v`, alive or dead: it is `nl(nlStart(v) until nlStart(v + 1))`, a
-  * counting sort of the pairs by the endpoints of their first edge,
-  * `pairEdge(p)`. A pair counts iff its strength is positive, and `degree(v)`
-  * is a counter of `v`'s pairs that do: its ''distinct neighbours'' (the
-  * paper's degree), whatever the orientation of the pair's edges. A pair's
-  * first alive edge adds 1 at both endpoints, and deleting the pair takes
-  * it off. NL is built by the first `decompose` or `copy()` that finds it
-  * does not cover every pair, is never written afterwards, and is shared by
-  * copies; masters, which only append and `copyRange`, hold none, and one
+  * counting sort of the pairs by their endpoints `pu` and `pv`. A pair
+  * counts iff its strength is positive, and `degree(v)` is a counter of
+  * `v`'s pairs that do: its ''distinct neighbours'' (the paper's degree). A
+  * pair's first alive edge adds 1 at both endpoints, and deleting the pair
+  * takes it off. NL is built by the first `decompose` or `copy()` that finds
+  * it does not cover every pair, is never written afterwards, and is shared
+  * by copies; masters, which only append and `copyRange`, hold none, and one
   * that gains pairs after an NL was built gets a fresh one the same way.
   *
-  * Every edge stores its endpoints, its pair slot and its timestamp, all
-  * written once, so `del_edge` and with it `truncate` and `decompose` touch
-  * arrays only. A deleted edge keeps its slot.
+  * The graph is undirected, so an edge is its pair and its timestamp: the
+  * edge columns are `epair` and `et`, and a pair stores its endpoints once.
+  * All are written once, so `del_edge` and with it `truncate` and
+  * `decompose` touch arrays only. A deleted edge keeps its slot.
   * Decomposition peels with a fixed `k` instead of the paper's H_v min-heap:
   * a stack holds the vertices whose degree fell below the `k` of the last
   * `decompose`, and a degree change costs O(1); peeling `v` deletes the
@@ -145,7 +145,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   // ---- edges: local ids [0, nEdges) in timestamp order, all write-once;
   // alive iff in [head, tail] with a pair of positive strength ----
-  private var eu, ev, et, epair: Array[Int] = new Array[Int](edgeCapacity)
+  private var et, epair: Array[Int] = new Array[Int](edgeCapacity)
   private var nEdges = 0
   private var nAlive = 0
   private var head = 0 // first and last alive edge: the ends of the timeline
@@ -158,8 +158,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nLive = 0 // vertices with degree > 0
 
   // ---- vertex pairs: strength = alive parallel edges, or -(death stamp)
-  // once deleted; pairEdge = the pair's first edge, write-once ----
-  private var pairEdge, strength: Array[Int] = new Array[Int](16)
+  // once deleted; endpoints pu, pv, write-once ----
+  private var pu, pv, strength: Array[Int] = new Array[Int](16)
   private var nPairs = 0
   private var clock = 0 // the last death stamp: pair deletions so far
   private var weak = false // an append may have left a pair in (0, h) (§6.2)
@@ -173,8 +173,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
   private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
-  // False for a TEL made by copy(): it shares the write-once columns (eu, ev,
-  // et, epair, pairEdge, ext, nl, nlStart) with its source, and never appends.
+  // False for a TEL made by copy(): it shares the write-once columns (et,
+  // epair, pu, pv, ext, nl, nlStart) with its source, and never appends.
   private var ownsColumns = true
 
   // ---------------------------------------------------------------- queries
@@ -231,14 +231,15 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   private def aliveEdges(): () => Vector[TemporalEdge] = {
     val from = head; val to = tail; val at = clock; val n = nAlive
-    val u = eu; val v = ev; val t = et; val pe = epair; val x = ext; val s = strength
+    val t = et; val pe = epair; val u = pu; val v = pv; val x = ext; val s = strength
     () => {
       val b = Vector.newBuilder[TemporalEdge]
       b.sizeHint(n)
       var e = from
       while (e <= to) {
-        val c = s(pe(e))
-        if (c > 0 || -c > at) b += TemporalEdge(x(u(e)), x(v(e)), t(e))
+        val p = pe(e)
+        val c = s(p)
+        if (c > 0 || -c > at) b += TemporalEdge(x(u(p)), x(v(p)), t(e))
         e += 1
       }
       b.result()
@@ -248,8 +249,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   // ------------------------------------------------------------ construction
 
   private def growEdges(): Unit = {
-    val cap = math.max(16, eu.length * 2)
-    eu = copyOf(eu, cap); ev = copyOf(ev, cap); et = copyOf(et, cap); epair = copyOf(epair, cap)
+    val cap = math.max(16, et.length * 2)
+    et = copyOf(et, cap); epair = copyOf(epair, cap)
   }
 
   /** The local vertex of external id `id`; a fresh one if there is none. */
@@ -261,7 +262,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** The pair slot of local vertices `a` and `b`; a fresh one if there is none. */
   private def pairSlot(a: Int, b: Int): Int = {
     val p = pairIds.getOrPut(pairKey(a, b), nPairs)
-    if (p == nPairs) newPair() else p
+    if (p == nPairs) newPair(a, b) else p
   }
 
   /** Allocates local vertex `nVerts`, with external id `id`, and returns it. */
@@ -276,31 +277,31 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     x
   }
 
-  /** Allocates pair slot `nPairs`, with no alive edges, and returns it. Its
-    * first edge is the next one appended, at slot `nEdges`.
+  /** Allocates pair slot `nPairs`, of local vertices `a` and `b`, with no
+    * alive edges, and returns it.
     */
-  private def newPair(): Int = {
-    if (nPairs == pairEdge.length) {
-      val cap = math.max(16, pairEdge.length * 2)
-      pairEdge = copyOf(pairEdge, cap); strength = copyOf(strength, cap)
+  private def newPair(a: Int, b: Int): Int = {
+    if (nPairs == strength.length) {
+      val cap = math.max(16, strength.length * 2)
+      pu = copyOf(pu, cap); pv = copyOf(pv, cap); strength = copyOf(strength, cap)
     }
     val p = nPairs
     nPairs += 1
-    pairEdge(p) = nEdges; strength(p) = 0
+    pu(p) = a; pv(p) = b; strength(p) = 0
     p
   }
 
   /** Builds NL if it does not cover every pair: a counting sort of the
-    * pairs by both endpoints of their first edges, into fresh arrays, so an
-    * NL that copies share is never written.
+    * pairs by both endpoints, into fresh arrays, so an NL that copies share
+    * is never written.
     */
   private def buildNl(): Unit = if (nl == null || nl.length != 2 * nPairs) {
     val start = new Array[Int](nVerts + 1) // sizes of the NL(x), then their ends, then starts
-    for (p <- 0 until nPairs) { start(eu(pairEdge(p))) += 1; start(ev(pairEdge(p))) += 1 }
+    for (p <- 0 until nPairs) { start(pu(p)) += 1; start(pv(p)) += 1 }
     for (x <- 1 to nVerts) start(x) += start(x - 1)
     val list = new Array[Int](2 * nPairs)
     def put(x: Int, p: Int): Unit = { start(x) -= 1; list(start(x)) = p }
-    for (p <- nPairs - 1 to 0 by -1) { put(eu(pairEdge(p)), p); put(ev(pairEdge(p)), p) }
+    for (p <- nPairs - 1 to 0 by -1) { put(pu(p), p); put(pv(p), p) }
     nl = list; nlStart = start
   }
 
@@ -324,25 +325,25 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     while (x < nVerts) { vertexIds.getOrPut(ext(x), x); x += 1 }
     pairIds = new LongIntMap(nPairs)
     var p = 0
-    while (p < nPairs) { pairIds.getOrPut(pairKey(eu(pairEdge(p)), ev(pairEdge(p))), p); p += 1 }
+    while (p < nPairs) { pairIds.getOrPut(pairKey(pu(p), pv(p)), p); p += 1 }
   }
 
-  /** Appends edge `(u, v, t)` of pair `p` in local ids as the new tail of
-    * the timeline, plus the strength update; a pair's first alive edge also
-    * adds a neighbour to `u` and `v`. The caller keeps `t` no earlier
-    * than the last appended edge's, on a TEL that has deleted nothing, so no
+  /** Appends an edge of pair `p` at time `t` as the new tail of the
+    * timeline, plus the strength update; a pair's first alive edge also adds
+    * a neighbour to both its endpoints. The caller keeps `t` no earlier than
+    * the last appended edge's, on a TEL that has deleted nothing, so no
     * strength is negative.
     */
-  private def append(u: Int, v: Int, p: Int, t: Int): Unit = {
-    if (nEdges == eu.length) growEdges()
+  private def append(p: Int, t: Int): Unit = {
+    if (nEdges == et.length) growEdges()
     val e = nEdges
     nEdges += 1
     nAlive += 1
-    eu(e) = u; ev(e) = v; et(e) = t; epair(e) = p
+    et(e) = t; epair(e) = p
     tail = e // an empty TEL already has head = e
     val c = strength(p) + 1
     strength(p) = c
-    if (c == 1) { gainNeighbour(u); gainNeighbour(v) }
+    if (c == 1) { gainNeighbour(pu(p)); gainNeighbour(pv(p)) }
     if (c < h) weak = true
   }
 
@@ -367,7 +368,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     peelK = 0
     val a = vertexSlot(u)
     val b = vertexSlot(v)
-    append(a, b, pairSlot(a, b), t)
+    append(pairSlot(a, b), t)
   }
 
   // -------------------------------------------------------------- deletion
@@ -391,10 +392,10 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   }
 
   /** Deletes every alive edge of pair `p` at once: its strength becomes its
-    * death stamp `-clock`, so none of its slots is alive, and both endpoints
-    * of its first edge lose a neighbour. Then both ends of the timeline
-    * settle: they move inward past slots whose pair is dead, so each sits on
-    * an alive edge again; an empty TEL gets `head = nEdges`,
+    * death stamp `-clock`, so none of its slots is alive, and both its
+    * endpoints lose a neighbour. Then both ends of the timeline settle: they
+    * move inward past slots whose pair is dead, so each sits on an alive edge
+    * again; an empty TEL gets `head = nEdges`,
     * `tail = nEdges - 1`. A TEL that has deleted never appends, so its ends
     * only move inward, all settling of a TEL costs O(slots) in total, and a
     * deletion O(1) plus its share of that.
@@ -403,7 +404,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     nAlive -= strength(p)
     clock += 1
     strength(p) = -clock
-    loseNeighbour(eu(pairEdge(p))); loseNeighbour(ev(pairEdge(p)))
+    loseNeighbour(pu(p)); loseNeighbour(pv(p))
     if (nAlive == 0) { head = nEdges; tail = nEdges - 1 }
     else {
       while (strength(epair(head)) <= 0) head += 1
@@ -476,8 +477,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * (§5.2) without mutating the source. The window's edge slots are one id
     * range, found by binary search on the timestamps and cut to the
     * timeline; its alive edges, vertices and pairs get fresh dense ids
-    * through two `Int` remaps indexed by this TEL's vertex and pair ids. The
-    * cost is O(slots in the window) plus one pass over the remaps.
+    * through two `Int` remaps indexed by this TEL's vertex and pair ids, and
+    * the vertices are remapped once per pair. The cost is O(slots in the
+    * window) plus one pass over the remaps.
     */
   def copyRange(ts: Int, te: Int): TEL = {
     val from = math.max(head, firstSlotAt(ts))
@@ -497,12 +499,10 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     }
     e = from
     while (e < until) {
-      if (strength(epair(e)) > 0) {
-        val a = vertex(eu(e))
-        val b = vertex(ev(e))
-        val p = epair(e)
-        if (pairOf(p) < 0) pairOf(p) = t.newPair()
-        t.append(a, b, pairOf(p), et(e))
+      val p = epair(e)
+      if (strength(p) > 0) {
+        if (pairOf(p) < 0) pairOf(p) = t.newPair(vertex(pu(p)), vertex(pv(p)))
+        t.append(pairOf(p), et(e))
       }
       e += 1
     }
@@ -530,7 +530,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   /** Independent copy: two array copies, `degree` and `strength` over the
     * used prefix, O(|V| + pairs) with no hashing. The write-once columns
-    * (every per-edge array, the pairs' first edges, the external ids and NL,
+    * (both per-edge arrays, the pairs' endpoints, the external ids and NL,
     * built here first if it does not cover every pair, so that all copies of
     * this TEL share one) are shared with this TEL, which appends only into
     * fresh slots or grown arrays, and the copy never appends; since liveness
@@ -541,7 +541,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   def copy(): TEL = {
     buildNl()
     val t = new TEL(h, 0)
-    t.eu = eu; t.ev = ev; t.et = et; t.epair = epair; t.pairEdge = pairEdge
+    t.et = et; t.epair = epair; t.pu = pu; t.pv = pv
     t.ext = ext; t.nl = nl; t.nlStart = nlStart; t.ownsColumns = false
     t.nEdges = nEdges; t.nAlive = nAlive; t.head = head; t.tail = tail
     t.degree = copyOf(degree, nVerts); t.nVerts = nVerts; t.nLive = nLive
@@ -559,7 +559,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   def memoryFootprintBytes: Long = {
     def ints(as: Array[Int]*): Long = as.filter(_ != null).map(a => arrayBytes(a.length, 4)).sum
     val owned = if (ownsColumns) arrayBytes(ext.length, 8) +
-      ints(eu, ev, et, epair, pairEdge, nl, nlStart) else 0L
+      ints(et, epair, pu, pv, nl, nlStart) else 0L
     owned + ints(degree, strength, below) +
       Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes)
   }

@@ -18,12 +18,7 @@ final class DFState(private var df: DataFrame, h: Int) extends CoreState {
 
   override def snapshot(): Option[CoreResult] = {
     val es = EdgeOps.collectEdges(df)
-    if (es.isEmpty) None
-    else {
-      val tmin = es.iterator.map(_.t).min
-      val tmax = es.iterator.map(_.t).max
-      Some(CoreResult(Interval(tmin, tmax), es.iterator.flatMap(e => Iterator(e.u, e.v)).toSet, es))
-    }
+    if (es.isEmpty) None else Some(CoreResult(es))
   }
 
   override def copyState(): CoreState = new DFState(df, h)

@@ -26,6 +26,21 @@ class ModelSpec extends AnyFunSuite {
     assert(TemporalEdge(2, 9, 1).pair == ((2L, 9L)))
   }
 
+  test("an edge equals its reverse and stores its endpoints in order") {
+    assert(TemporalEdge(9, 2, 1) == TemporalEdge(2, 9, 1))
+    assert(TemporalEdge(9, 2, 1).hashCode == TemporalEdge(2, 9, 1).hashCode)
+    val TemporalEdge(u, v, t) = TemporalEdge(9, 2, 1)
+    assert((u, v, t) == ((2L, 9L, 1)))
+    assert(TemporalEdge(9, 2, 1) != TemporalEdge(2, 9, 2))
+    assert(Set(TemporalEdge(9, 2, 1), TemporalEdge(2, 9, 1)).size == 1)
+  }
+
+  test("copy(t = ...) keeps the endpoints in order") {
+    val e = TemporalEdge(9, 2, 1).copy(t = 5)
+    assert(e.u == 2 && e.v == 9 && e.t == 5)
+    assert(e == TemporalEdge(2, 9, 5) && e.copy() == e)
+  }
+
   test("Interval rejects inverted bounds") {
     intercept[IllegalArgumentException](Interval(5, 4))
   }
@@ -39,11 +54,16 @@ class ModelSpec extends AnyFunSuite {
   }
 
   test("canonicalKey is order-independent") {
-    val a = CoreResult(Interval(1, 2), Set(1L, 2L, 3L),
-      Vector(TemporalEdge(1, 2, 1), TemporalEdge(3, 2, 2)))
-    val b = CoreResult(Interval(1, 2), Set(1L, 2L, 3L),
-      Vector(TemporalEdge(2, 3, 2), TemporalEdge(2, 1, 1)))
+    val a = CoreResult(Vector(TemporalEdge(1, 2, 1), TemporalEdge(3, 2, 2)))
+    val b = CoreResult(Vector(TemporalEdge(2, 3, 2), TemporalEdge(2, 1, 1)))
     assert(a.canonicalKey == b.canonicalKey)
+  }
+
+  test("an eager core derives its TTI and vertices from its edges") {
+    val c = CoreResult(Vector(TemporalEdge(7, 2, 4), TemporalEdge(3, 2, 9), TemporalEdge(2, 7, 6)))
+    assert(c.tti == Interval(4, 9))
+    assert(c.vertices == Set(2L, 3L, 7L) && c.numVertices == 3 && c.numEdges == 3)
+    intercept[IllegalArgumentException](CoreResult(Vector.empty))
   }
 
   test("RunStats percentage math") {

@@ -106,6 +106,62 @@ class TCQDifferentialSpec extends AnyFunSuite {
       s"generator coverage: empty=$emptyResults nonEmpty=$nonEmptyResults " +
         s"singleTimestamp=$singleTimestamp baseline=$baselineChecked wideBaseline=$wideBaseline")
   }
+
+  /** An edge as given, `(u, v, t)` with `u != v`, in random orientation. */
+  private def asGiven(t: Int): Gen[(Long, Long, Int)] = for {
+    u <- Gen.choose(0, nV - 1)
+    d <- Gen.choose(1, nV - 1)
+  } yield (u.toLong, ((u + d) % nV).toLong, t)
+
+  test("every engine returns each edge as (min, max, t), whatever its given orientation (property)") {
+    val gen = for {
+      n <- Gen.choose(1, 40)
+      edges <- Gen.listOfN(n, Gen.choose(1, horizon).flatMap(asGiven)).map(_.sortBy(_._3))
+      m <- Gen.choose(1, 6)
+      appends <- Gen.listOfN(m, Gen.choose(horizon + 1, horizon + 3)).map(_.sorted)
+        .flatMap(ts => Gen.sequence[Vector[(Long, Long, Int)], (Long, Long, Int)](ts.map(asGiven)))
+      k <- Gen.choose(1, 3)
+      w <- window
+    } yield (edges.toVector, appends, k, w)
+    var reversed, nonEmpty = 0
+    // An engine's edges, as sorted triples, once each has u <= v.
+    def triples(es: Seq[TemporalEdge], what: String): Vector[(Long, Long, Int)] = {
+      assert(es.forall(e => e.u <= e.v), s"$what: an edge with u > v in $es")
+      es.map(e => (e.u, e.v, e.t)).toVector.sorted
+    }
+    val prop = Prop.forAll(gen) { case (edges, appends, k, w) =>
+      val master = TEL.empty()
+      val engine = new TELEngine(master)
+      def check(input: Vector[(Long, Long, Int)]): Unit = {
+        val all = input.map { case (u, v, t) => (u min v, u max v, t) }.sorted
+        assert(triples(master.edges, "edges") == all)
+        assert(triples(master.copy().edges, "copy") == all)
+        assert(triples(master.snapshot().get.edges, "snapshot") == all)
+        assert(triples(master.copyRange(w.ts, w.te).edges, "copyRange") ==
+          all.filter(e => w.ts <= e._3 && e._3 <= w.te))
+        val es = input.map { case (u, v, t) => TemporalEdge(u, v, t) }
+        val answers = Seq(
+          "OTCD" -> OTCD.run(engine, k, w).cores, "TCD" -> TCD.run(engine, k, w).cores,
+          "naive" -> NaiveTCQ.run(es, k, w),
+          "iPHC-Query" -> IPHCQuery.run(es, PHCIndex.build(es, k, w), k, w).cores)
+        val cores = answers.map { case (what, cs) => cs.map(c => triples(c.edges, what)).toSet }
+        assert(cores.forall(_ == cores.head), s"engines disagree on $input, k=$k, $w")
+        for (c <- cores.head) assert(c.diff(all).isEmpty, s"core $c is not part of $all")
+        if (cores.head.nonEmpty) nonEmpty += 1
+      }
+      def add(es: Vector[(Long, Long, Int)]): Unit =
+        es.foreach { case (u, v, t) => master.addEdge(u, v, t) }
+      reversed += (edges ++ appends).count { case (u, v, _) => u > v }
+      add(edges)
+      check(edges)
+      add(appends)
+      check(edges ++ appends)
+      true
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), prop)
+    assert(result.passed, result.status.toString)
+    assert(reversed > 0 && nonEmpty > 0, s"generator coverage: reversed=$reversed nonEmpty=$nonEmpty")
+  }
 }
 
 object TCQDifferentialSpec {

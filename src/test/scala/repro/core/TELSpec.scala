@@ -279,13 +279,10 @@ class TELSpec extends AnyFunSuite {
 
   test("NL bookkeeping holds for pairs emptied by truncate or decompose") {
     // Every pair holds at least two edges, so h = 2 keeps them all and a peel
-    // at h = 1 must delete parallel edges. Pairs (1,2) and (1,4) have a first
-    // edge that points to 1: NL and the degree counters reach a pair's
-    // endpoints through its first edge, and must not depend on that edge's
-    // orientation. The master builds NL in a decompose that deletes nothing
-    // and shares it with `early`; then it gains pairs, so the copy `late`
-    // must get an NL built afresh over all of them, while `early` keeps
-    // reading the first one.
+    // at h = 1 must delete parallel edges. The master builds NL in a
+    // decompose that deletes nothing and shares it with `early`; then it
+    // gains pairs, so the copy `late` must get an NL built afresh over all of
+    // them, while `early` keeps reading the first one.
     def two(u: Long, v: Long, at: Int) = Vector.fill(2)(TemporalEdge(u, v, at))
     val k4 = Seq((2L, 3L), (2L, 4L), (2L, 5L), (3L, 4L), (3L, 5L), (4L, 5L))
     for (h <- 1 to 2) {
