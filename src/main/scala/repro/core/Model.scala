@@ -40,7 +40,7 @@ final case class Interval(ts: Int, te: Int) {
 /** An induced temporal k-core, as a handle: the TTI and the sizes |V| and |E|
   * are fixed when the core is made, while `edges` and `vertices` are built on
   * first read. A TEL snapshot is O(1): it keeps the timeline's ends and the
-  * TEL's pair-death clock over arrays it shares with the TEL (see
+  * TEL's count of deleted edges over arrays it shares with the TEL (see
   * [[TEL.snapshot]]), so a query that reads only the TTI and the sizes, as
   * Table 6 does, builds no edge at all.
   *

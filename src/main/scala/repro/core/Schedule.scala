@@ -15,8 +15,7 @@ final class Schedule(val Ts: Int, val Te: Int) {
   // 46340² cells is the largest square that fits a JVM array.
   require(span <= 46340, s"schedule span $span too large")
 
-  private val NotPruned: Byte = 0
-  private val cells = new Array[Byte]((span * span).toInt)
+  private val cells = new Array[Boolean]((span * span).toInt) // pruned?
 
   private var _prunedPoR = 0L
   private var _prunedPoU = 0L
@@ -28,18 +27,14 @@ final class Schedule(val Ts: Int, val Te: Int) {
 
   @inline private def idx(r: Int, c: Int): Int = ((r - Ts) * span + (c - Ts)).toInt
 
-  def isPruned(r: Int, c: Int): Boolean = cells(idx(r, c)) != NotPruned
+  def isPruned(r: Int, c: Int): Boolean = cells(idx(r, c))
 
-  private def mark(r: Int, c: Int, rule: Byte): Unit = {
+  /** Prunes cell `(r, c)`; 1 if it was not pruned yet, so the calling rule
+    * counts it, else 0.
+    */
+  private def mark(r: Int, c: Int): Int = {
     val i = idx(r, c)
-    if (cells(i) == NotPruned) {
-      cells(i) = rule
-      rule match {
-        case 1 => _prunedPoR += 1
-        case 2 => _prunedPoU += 1
-        case _ => _prunedPoL += 1
-      }
-    }
+    if (cells(i)) 0 else { cells(i) = true; 1 }
   }
 
   def recordVisit(): Unit = _visited += 1
@@ -55,14 +50,14 @@ final class Schedule(val Ts: Int, val Te: Int) {
     if (te1 < te) { // Rule 1: Pruning-on-the-Right (Lemma 2)
       _triggersPoR += 1
       var c = te1
-      while (c < te) { mark(ts, c, 1); c += 1 }
+      while (c < te) { _prunedPoR += mark(ts, c); c += 1 }
     }
     if (ts1 > ts) { // Rule 2: Pruning-on-the-Underside (Lemmas 3–4)
       _triggersPoU += 1
       var r = ts1
       while (r > ts) {
         var c = te
-        while (c >= r) { mark(r, c, 2); c -= 1 }
+        while (c >= r) { _prunedPoU += mark(r, c); c -= 1 }
         r -= 1
       }
     }
@@ -71,7 +66,7 @@ final class Schedule(val Ts: Int, val Te: Int) {
       var r = ts1 + 1
       while (r <= te1) {
         var c = te
-        while (c >= te1 + 1) { mark(r, c, 3); c -= 1 }
+        while (c >= te1 + 1) { _prunedPoL += mark(r, c); c -= 1 }
         r += 1
       }
     }

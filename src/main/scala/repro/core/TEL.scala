@@ -65,6 +65,14 @@ private[core] final class LongIntMap(expected: Int) {
   * `Long` ids for output. Edge ids ascend with timestamps: `addEdge` and
   * `copyRange` append in time order, and `copy()` keeps ids.
   *
+  * '''Two phases.''' A TEL appends until its first `truncate`, `decompose`,
+  * `copy()` or `snapshot()`. That call seals it, once: at `h > 1` it deletes
+  * every pair with fewer than `h` edges (the §6.2 purge), and then it builds
+  * NL. A sealed TEL only deletes. A copy shares its source's NL, so it is
+  * sealed from the start. `copyRange` only reads its source and does not
+  * seal it, so a master keeps appending between queries that work on copies
+  * of it (§5.2, §6.1).
+  *
   * '''The timeline''' is the slot range `[head, tail]`. The TEL deletes
   * edges in two ways only: truncation at an end of the timeline, and a peel
   * or a §6.2 purge of a whole pair. So an edge needs no links and no mark:
@@ -74,8 +82,8 @@ private[core] final class LongIntMap(expected: Int) {
   * the timeline's run of alive edges at `t`, and its `del_TL` a run of
   * `del_edge`s at an end (Table 1). A pair with strength `c > 0` has exactly
   * `c` slots on the timeline, and deleting it is O(1): its strength becomes
-  * its death stamp (below), a number `<= 0`, which kills its remaining slots
-  * at once, and the ends then move inward past the dead slots they meet.
+  * its death stamp (below), a negative number, which kills its remaining
+  * slots at once, and the ends then move inward past the dead slots they meet.
   *
   * '''NL(v)''', in place of the paper's SL(v) / DL(v), lists every pair of
   * `v`, alive or dead: it is `nl(nlStart(v) until nlStart(v + 1))`, a
@@ -83,10 +91,9 @@ private[core] final class LongIntMap(expected: Int) {
   * counts iff its strength is positive, and `degree(v)` is a counter of
   * `v`'s pairs that do: its ''distinct neighbours'' (the paper's degree). A
   * pair's first alive edge adds 1 at both endpoints, and deleting the pair
-  * takes it off. NL is built by the first `decompose` or `copy()` that finds
-  * it does not cover every pair, is never written afterwards, and is shared
-  * by copies; masters, which only append and `copyRange`, hold none, and one
-  * that gains pairs after an NL was built gets a fresh one the same way.
+  * takes it off. The seal builds NL over every pair; a sealed TEL gains no
+  * pair, so NL is never written afterwards, and copies share it. Masters,
+  * which only append and `copyRange`, hold none.
   *
   * The graph is undirected, so an edge is its pair and its timestamp: the
   * edge columns are `epair` and `et`, and a pair stores its endpoints once.
@@ -98,44 +105,42 @@ private[core] final class LongIntMap(expected: Int) {
   * pairs on NL(v) that still have strength. The stack is allocated at the
   * first `decompose`, so masters, which never peel, carry none.
   *
-  * '''Snapshots''' are O(1) because every pair death is stamped: it ticks
-  * `clock` and leaves the pair's strength at `-clock`. A handle keeps
-  * `head`, `tail` and `clock`, and holds this TEL's `strength` array and
+  * '''Snapshots''' are O(1) because every pair death is stamped: the pair's
+  * strength becomes `nAlive - nEdges`, minus the number of edges deleted so
+  * far, its own included. Every pair death deletes at least one edge, so
+  * each stamp lies below all earlier ones. A handle keeps `head`, `tail` and
+  * `at = nEdges - nAlive`, and holds this TEL's `strength` array and
   * write-once columns by reference. On first read it keeps the slots `e` of
-  * its range with `s > 0 || -s > clock`, where `s = strength(epair(e))`: the
-  * pairs alive now, or dead since the snapshot. A later deletion stamps a
-  * newer death or lowers a surviving pair's strength, and a later append,
-  * which only a TEL that has deleted nothing takes, raises a positive
-  * strength or writes slots past the handle's range, so these are exactly
-  * the edges alive at the snapshot. No dead pair is ever revived: a pair
-  * dies at most once, so `clock <= nPairs` and the clock cannot wrap.
+  * its range with `s > 0 || -s > at`, where `s = strength(epair(e))`: the
+  * pairs alive now, or dead since the snapshot. A snapshot seals its TEL, so
+  * later calls on it or its copies only stamp newer deaths or lower
+  * surviving strengths, and these are exactly the edges alive at the
+  * snapshot.
   *
-  * The §6.2 purge defers no work. Truncation deletes a whole pair once its
-  * strength would fall below `h`; an append that leaves a pair in `(0, h)`
-  * sets `weak`, and the next `truncate` or `decompose` deletes every such
-  * pair in one pass over the pairs. At `h = 1` neither happens apart from
-  * a pair losing its last edge.
+  * The §6.2 purge defers no work after the seal: truncation deletes a whole
+  * pair once its strength would fall below `h`, and a peel deletes whole
+  * pairs, so no sealed TEL holds a pair with fewer than `h` edges. At
+  * `h = 1` neither happens apart from a pair losing its last edge.
   *
   * Copies cost no hashing. `copy()` copies two arrays, `degree` and
-  * `strength`, O(|V| + pairs), and carries `clock`; the write-once columns,
-  * every per-edge array and NL among them, are shared with the source, which
-  * appends only into slots past the copy's counts or into grown arrays;
-  * `copyRange(ts, te)` finds the window's edge slots by binary search on the
-  * timestamps and compacts its alive edges, their vertices and pairs into
-  * fresh ids through array remaps, so the result is sized by the window, not
-  * by the source. Over the whole timeline it rebuilds a TEL compactly: a TCQ
-  * row source, kept peeled, is replaced by such a rebuild once fewer than half
-  * of its edge slots are alive, so every row copies a mostly-alive prefix.
-  * The only hash lookups are the external-id and pair dictionaries behind
-  * `addEdge`, `degreeOf` and `strengthOf`; a copy rebuilds them from its
-  * arrays the first time one of those is called.
+  * `strength`, O(|V| + pairs), and carries the edge counters that the death
+  * stamps are read from; the write-once columns, every per-edge array and NL
+  * among them, are shared with the source, which is sealed and so never
+  * writes them again. `copyRange(ts, te)` finds the window's edge slots by
+  * binary search on the timestamps and compacts its alive edges, their
+  * vertices and pairs into fresh ids through array remaps, so the result is
+  * sized by the window, not by the source. Over the whole timeline it
+  * rebuilds a TEL compactly: a TCQ row source, kept peeled, is replaced by
+  * such a rebuild once fewer than half of its edge slots are alive, so every
+  * row copies a mostly-alive prefix. The only hash lookups are the
+  * external-id and pair dictionaries behind `addEdge`, `degreeOf` and
+  * `strengthOf`; a copy rebuilds them from its arrays the first time one of
+  * those is called.
   *
   * Instances are single-threaded and mutable. `addEdge` implements the
   * dynamic-graph extension (§6.1): timestamps may only append at or after the
-  * last appended one, and only to a TEL that has deleted no edge and was not
-  * made by `copy()`. As in the paper, only the master grows, and every query
-  * works on a copy of it (§5.2): masters never delete, and copies never
-  * append.
+  * last appended one, and only to an unsealed TEL. As in the paper, only the
+  * master grows, and every query works on a copy of it (§5.2).
   *
   * @param h link-strength lower bound (§6.2); 1 = plain TCQ semantics
   */
@@ -157,18 +162,16 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var nVerts = 0
   private var nLive = 0 // vertices with degree > 0
 
-  // ---- vertex pairs: strength = alive parallel edges, or -(death stamp)
+  // ---- vertex pairs: strength = alive parallel edges, or the death stamp
   // once deleted; endpoints pu, pv, write-once ----
   private var pu, pv, strength: Array[Int] = new Array[Int](16)
   private var nPairs = 0
-  private var clock = 0 // the last death stamp: pair deletions so far
-  private var weak = false // an append may have left a pair in (0, h) (§6.2)
 
   // ---- NL(v) = nl(nlStart(v) until nlStart(v + 1)): every pair of v, alive
-  // or dead; write-once, null until a decompose or copy() builds it ----
+  // or dead; write-once, null until the seal builds it ----
   private var nl, nlStart: Array[Int] = null
 
-  private var peelK = 0                     // k of the last decompose; 0 = rescan
+  private var peelK = 0                     // k of the last decompose; 0 = none yet
   private var below: Array[Int] = null      // stack of vertices below peelK
   private var nBelow = 0
   private var vertexIds: LongIntMap = null  // external id -> local vertex
@@ -210,27 +213,28 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** All alive edges in timeline order. */
   def edges: Vector[TemporalEdge] = aliveEdges()()
 
-  /** Snapshot the current graph as a [[CoreResult]] handle (None when
-    * empty), in O(1): the sizes are the counters, and the handle keeps the
-    * timeline's ends and `clock` over this TEL's `strength` array and
-    * write-once columns. It builds its edges on first read, from the pairs
-    * alive now or stamped dead since (see the class doc), so later
-    * `truncate`, `decompose` or `addEdge` calls on this TEL or its copies do
-    * not change them.
+  /** Seals this TEL and snapshots the current graph as a [[CoreResult]]
+    * handle (None when empty), in O(1): the sizes are the counters, and the
+    * handle keeps the timeline's ends and the number of edges deleted so far
+    * over this TEL's `strength` array and write-once columns. It builds its
+    * edges on first read, from the pairs alive now or stamped dead since (see
+    * the class doc), so later `truncate` or `decompose` calls on this TEL or
+    * its copies do not change them.
     */
-  def snapshot(): Option[CoreResult] =
+  def snapshot(): Option[CoreResult] = {
+    seal()
     tti.map(i => CoreResult.deferred(i, nLive, nAlive)(aliveEdges()))
+  }
 
   /** Builds, when called, the edges alive now: one scan of the slots in
-    * `[head, tail]` that keeps those whose pair has strength or died after
-    * the current `clock`. It holds the arrays, not this TEL: deletions only
-    * stamp later deaths or lower surviving strengths, appends only raise
-    * positive ones, and slots below the current counts of the write-once
-    * columns are never written again (`append`, `newVertex` and `newPair`
-    * write only fresh slots; growth moves to new arrays).
+    * `[head, tail]` that keeps those whose pair has strength or was stamped
+    * dead after the current count of deleted edges. It holds the arrays, not
+    * this TEL, and `snapshot` takes it only from a sealed TEL, whose later
+    * deletions only stamp newer deaths or lower surviving strengths and
+    * which writes no other array again.
     */
   private def aliveEdges(): () => Vector[TemporalEdge] = {
-    val from = head; val to = tail; val at = clock; val n = nAlive
+    val from = head; val to = tail; val at = nEdges - nAlive; val n = nAlive
     val t = et; val pe = epair; val u = pu; val v = pv; val x = ext; val s = strength
     () => {
       val b = Vector.newBuilder[TemporalEdge]
@@ -291,11 +295,14 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     p
   }
 
-  /** Builds NL if it does not cover every pair: a counting sort of the
-    * pairs by both endpoints, into fresh arrays, so an NL that copies share
-    * is never written.
+  /** Seals this TEL on its first `truncate`, `decompose`, `copy()` or
+    * `snapshot()`: at `h > 1` deletes every pair with fewer than `h` edges
+    * (the modified TCD of §6.2), then builds NL, a counting sort of the
+    * pairs by both endpoints. No sealed TEL appends, so NL then covers every
+    * pair for good.
     */
-  private def buildNl(): Unit = if (nl == null || nl.length != 2 * nPairs) {
+  private def seal(): Unit = if (nl == null) {
+    if (h > 1) for (p <- 0 until nPairs if strength(p) < h) deletePair(p)
     val start = new Array[Int](nVerts + 1) // sizes of the NL(x), then their ends, then starts
     for (p <- 0 until nPairs) { start(pu(p)) += 1; start(pv(p)) += 1 }
     for (x <- 1 to nVerts) start(x) += start(x - 1)
@@ -331,8 +338,8 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   /** Appends an edge of pair `p` at time `t` as the new tail of the
     * timeline, plus the strength update; a pair's first alive edge also adds
     * a neighbour to both its endpoints. The caller keeps `t` no earlier than
-    * the last appended edge's, on a TEL that has deleted nothing, so no
-    * strength is negative.
+    * the last appended edge's, on an unsealed TEL, which has deleted nothing,
+    * so no strength is negative.
     */
   private def append(p: Int, t: Int): Unit = {
     if (nEdges == et.length) growEdges()
@@ -344,28 +351,23 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     val c = strength(p) + 1
     strength(p) = c
     if (c == 1) { gainNeighbour(pu(p)); gainNeighbour(pv(p)) }
-    if (c < h) weak = true
   }
 
   /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`,
     * non-negative ids (the id dictionary keeps -1 as its empty key), and `t`
     * no earlier than the last appended edge's timestamp, so edge ids stay in
-    * timestamp order. Also requires a TEL that has deleted no edge and was
-    * not made by `copy()`: only the master grows, and queries work on copies
-    * of it (§5.2). So no dead pair is ever revived, which keeps the handles
-    * and copies of this TEL exact, and no copy writes into shared columns.
+    * timestamp order. Also requires an unsealed TEL: only the master grows,
+    * and queries work on copies of it (§5.2). So no array that a copy or a
+    * snapshot handle shares is ever written again.
     */
   def addEdge(u: Long, v: Long, t: Int): Unit = {
     require(u != v, s"self-loop ($u,$v,$t) not allowed")
     require(u >= 0 && v >= 0, s"vertex ids must be non-negative, got ($u,$v)")
     require(nEdges == 0 || t >= et(nEdges - 1),
       s"timestamps must be appended in order: $t < ${et(nEdges - 1)}")
-    require(ownsColumns && nAlive == nEdges, "addEdge needs a TEL that is not a copy and has " +
-      s"deleted no edge; copy = ${!ownsColumns}, deleted edges = ${nEdges - nAlive}")
+    require(nl == null, "addEdge needs an unsealed TEL: one that no truncate, decompose, " +
+      "copy() or snapshot() has touched, and that was not made by copy()")
     dictionaries()
-    // New vertices may sit below k without ever crossing it, even after a
-    // decompose that deleted nothing.
-    peelK = 0
     val a = vertexSlot(u)
     val b = vertexSlot(v)
     append(pairSlot(a, b), t)
@@ -392,18 +394,19 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   }
 
   /** Deletes every alive edge of pair `p` at once: its strength becomes its
-    * death stamp `-clock`, so none of its slots is alive, and both its
-    * endpoints lose a neighbour. Then both ends of the timeline settle: they
-    * move inward past slots whose pair is dead, so each sits on an alive edge
-    * again; an empty TEL gets `head = nEdges`,
-    * `tail = nEdges - 1`. A TEL that has deleted never appends, so its ends
-    * only move inward, all settling of a TEL costs O(slots) in total, and a
-    * deletion O(1) plus its share of that.
+    * death stamp `nAlive - nEdges`, taken after its edges leave `nAlive`, so
+    * none of its slots is alive and the stamp lies below every earlier one.
+    * Both its endpoints lose a neighbour. Then both ends of the timeline
+    * settle: they move inward past slots whose pair is dead, so each sits on
+    * an alive edge again; an empty TEL gets `head = nEdges`,
+    * `tail = nEdges - 1`. Only an unsealed TEL appends, and it has deleted
+    * nothing, so the ends only move inward once a TEL deletes: all settling
+    * of a TEL costs O(slots) in total, and a deletion O(1) plus its share of
+    * that.
     */
   private def deletePair(p: Int): Unit = {
     nAlive -= strength(p)
-    clock += 1
-    strength(p) = -clock
+    strength(p) = nAlive - nEdges
     loseNeighbour(pu(p)); loseNeighbour(pv(p))
     if (nAlive == 0) { head = nEdges; tail = nEdges - 1 }
     else {
@@ -412,24 +415,15 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     }
   }
 
-  /** Deletes every pair whose strength is in `(0, h)` (the modified TCD of
-    * §6.2), in one pass over the pairs, if an append may have left one
-    * there; deletions never do. A no-op when `h == 1`.
-    */
-  private def purgeWeak(): Unit = if (weak) {
-    weak = false
-    for (p <- 0 until nPairs if strength(p) > 0 && strength(p) < h) deletePair(p)
-  }
-
   // --------------------------------------------------------- TCD operation
 
   /** Truncation phase of TCD (Algorithm 4 lines 1–14): remove every edge
     * with timestamp outside `[ts, te]`, from both ends of the timeline.
     */
   def truncate(ts: Int, te: Int): Unit = {
+    seal()
     while (nAlive > 0 && et(head) < ts) delEdge(head)
     while (nAlive > 0 && et(tail) > te) delEdge(tail)
-    purgeWeak()
   }
 
   /** Decomposition phase of TCD (Algorithm 4 lines 15–24): peel vertices
@@ -437,16 +431,15 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     *
     * Once a `decompose(k)` has run, every live vertex below `k` is on the
     * `below` stack: deleting a pair pushes an endpoint whose degree drops
-    * from `k` to `k - 1`. A new `k`, or an `addEdge` since (after a
-    * `decompose` that deleted nothing), needs one scan of the degrees. Without
-    * appends degrees only fall, so each live vertex is pushed at most once per
-    * scan and the stack never outgrows `nLive`.
+    * from `k` to `k - 1`. A new `k` needs one scan of the degrees. A sealed
+    * TEL does not append, so degrees only fall: each live vertex is pushed
+    * at most once per scan, and the stack never outgrows the `nLive` it was
+    * allocated at.
     */
   def decompose(k: Int): Unit = {
-    purgeWeak()
-    buildNl()
+    seal()
     if (below == null || k != peelK) {
-      if (below == null || below.length < nLive) below = new Array[Int](nLive)
+      if (below == null) below = new Array[Int](nLive)
       nBelow = 0
       var x = 0
       while (x < nVerts) {
@@ -528,24 +521,23 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     */
   private[core] def sparse: Boolean = 2 * nAlive < nEdges
 
-  /** Independent copy: two array copies, `degree` and `strength` over the
-    * used prefix, O(|V| + pairs) with no hashing. The write-once columns
-    * (both per-edge arrays, the pairs' endpoints, the external ids and NL,
-    * built here first if it does not cover every pair, so that all copies of
-    * this TEL share one) are shared with this TEL, which appends only into
-    * fresh slots or grown arrays, and the copy never appends; since liveness
-    * follows from the timeline's ends and the strengths, the copy needs no
-    * per-edge state of its own. The copy starts without the peel stack and
-    * dictionaries and builds them when first needed.
+  /** Seals this TEL and returns an independent copy: two array copies,
+    * `degree` and `strength` over the used prefix, O(|V| + pairs) with no
+    * hashing. The write-once columns (both per-edge arrays, the pairs'
+    * endpoints, the external ids and NL) are shared with this TEL; both are
+    * sealed, so neither writes them again. Since liveness follows from the
+    * timeline's ends and the strengths, the copy needs no per-edge state of
+    * its own. The copy starts without the peel stack and dictionaries and
+    * builds them when first needed.
     */
   def copy(): TEL = {
-    buildNl()
+    seal()
     val t = new TEL(h, 0)
     t.et = et; t.epair = epair; t.pu = pu; t.pv = pv
     t.ext = ext; t.nl = nl; t.nlStart = nlStart; t.ownsColumns = false
     t.nEdges = nEdges; t.nAlive = nAlive; t.head = head; t.tail = tail
     t.degree = copyOf(degree, nVerts); t.nVerts = nVerts; t.nLive = nLive
-    t.strength = copyOf(strength, nPairs); t.nPairs = nPairs; t.weak = weak; t.clock = clock
+    t.strength = copyOf(strength, nPairs); t.nPairs = nPairs
     t
   }
 
@@ -554,7 +546,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * Pointers in the paper's TEL correspond to the Int slots of NL here.
     * Write-once columns shared between copies count only in the instance
     * that allocated them, so a `copy()` counts none, NL included: its source
-    * built the NL it shares, and it never gains a pair.
+    * built the NL it shares.
     */
   def memoryFootprintBytes: Long = {
     def ints(as: Array[Int]*): Long = as.filter(_ != null).map(a => arrayBytes(a.length, 4)).sum

@@ -54,7 +54,8 @@ object Tables {
       // add_edge: rebuild from scratch, amortized per edge
       val (_, addMs) = Timing.time(TEL.fromEdges(edges))
       // copy: whole-TEL copies, amortized per copied edge; the first copy
-      // builds the NL that every copy shares, so it runs untimed
+      // seals the TEL, building the NL that every copy shares, so it runs
+      // untimed
       tel.copy()
       val copies = 20 * sizes.last / n
       val (_, copyMs) = Timing.time {

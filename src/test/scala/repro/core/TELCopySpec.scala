@@ -5,13 +5,13 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Differential tests for `TEL.copy` / `copyRange`: a copy, and the source
   * it was taken from, must both behave exactly like a TEL built from scratch
-  * over the edges they hold, through later appends and TCD operations. Appends
-  * come where `addEdge` allows them, on a TEL that has deleted nothing and
-  * was not made by `copy()`: the source before its first deletion, and a
-  * `copyRange` result. The source's appends must never show in a `copy()`
-  * taken before them. A source compacted by a `copyRange` over its whole
-  * timeline, as a TCQ row source is, must also behave exactly like one that
-  * went through the same truncations and decompositions uncompacted.
+  * over the edges they hold, through later appends and TCD operations, once
+  * that reference is sealed like them. Appends come where `addEdge` allows
+  * them, on an unsealed TEL: the source before its first `copy()` or
+  * deletion, also after a `copyRange` of it, and that `copyRange` result. A
+  * source compacted by a `copyRange` over its whole timeline, as a TCQ row
+  * source is, must also behave exactly like one that went through the same
+  * truncations and decompositions uncompacted.
   */
 class TELCopySpec extends AnyFunSuite {
   import TELCopySpec.Scenario
@@ -56,12 +56,10 @@ class TELCopySpec extends AnyFunSuite {
   } yield Scenario(h, edges.toVector, grown, truncateTo, decomposeK, compaction, range, appends,
     k, w)
 
-  /** Compactions counted across all cases: of a source with fewer than half
-    * of its edge slots alive, and of one with §6.2 purges still pending. And
-    * `copy()`s whose source then appends past 16 vertices, so that its vertex
-    * and pair columns grow into new arrays after the copy.
+  /** Compactions, counted across all cases, of a source with fewer than half
+    * of its edge slots alive.
     */
-  private var sparseCompactions, pendingCompactions, grownAfterCopy = 0
+  private var sparseCompactions = 0
 
   /** Every observable the TEL offers, compared with a from-scratch TEL. */
   private def sameAs(got: TEL, exp: TEL, what: String): Unit = {
@@ -89,33 +87,27 @@ class TELCopySpec extends AnyFunSuite {
     def copyOf(t: TEL): TEL = s.range.fold(t.copy()) { case (a, b) => t.copyRange(a, b) }
     def inRange(es: Vector[TemporalEdge]) =
       s.range.fold(es) { case (a, b) => es.filter(e => e.t >= a && e.t <= b) }
+    // A truncation over all time deletes nothing but seals its TEL, so a
+    // reference sealed by it has the §6.2 purges of a sealed TEL.
+    def seal(t: TEL): Unit = t.truncate(Int.MinValue, Int.MaxValue)
     val before = source.edges
-    val copy = copyOf(source)
-    val copied = inRange(before)
-    sameAs(copy, TEL.fromEdges(copied, s.h), "copy")
-
-    // The source appends, and a copy() shares its columns but sees none of it:
-    // the appends go into grown arrays, or, on a grown source, into spare
-    // slots of the shared ones. A copyRange result owns its columns and
+    // A copyRange only reads the source, which appends after it; the result
     // appends the same edges itself.
+    val ranged = s.range.map { case (a, b) => source.copyRange(a, b) }
+    ranged.foreach(r => sameAs(r, TEL.fromEdges(inRange(before), s.h), "copyRange"))
     s.appends.foreach(e => source.addEdge(e.u, e.v, e.t))
-    val copyEdges = if (s.range.isEmpty) copied else {
-      s.appends.foreach(e => copy.addEdge(e.u, e.v, e.t))
-      copied ++ s.appends
-    }
-    if (s.range.isEmpty && (before ++ s.appends).flatMap(e => Seq(e.u, e.v)).distinct.size > 16)
-      grownAfterCopy += 1
-    // Appends leave pairs below h pending (§6.2) until the next truncate or
-    // decompose; compaction must carry them over.
-    if (s.compaction.isDefined) {
-      if (s.h > 1 && (before ++ s.appends).groupBy(e => TemporalEdge.pairKey(e.u, e.v))
-          .exists(_._2.size < s.h)) pendingCompactions += 1
-      rebuildSource()
-    }
-    val expCopy = TEL.fromEdges(copyEdges, s.h)
+    ranged.foreach(r => s.appends.foreach(e => r.addEdge(e.u, e.v, e.t)))
+    // Compaction before the seal carries the pairs that the seal will purge (§6.2).
+    if (s.compaction.isDefined) rebuildSource()
     val plain = TEL.fromEdges(before ++ s.appends, s.h) // the same operations, never compacted
     sameAs(source, plain, "source after appends")
-    sameAs(copy, expCopy, "copy after appends")
+    // copy() seals its source, so it comes after every append to it; the
+    // references are sealed alike.
+    val copy = ranged.getOrElse { seal(plain); source.copy() }
+    val copyEdges = inRange(before) ++ s.appends
+    val expCopy = TEL.fromEdges(copyEdges, s.h)
+    if (s.range.isEmpty) seal(expCopy)
+    sameAs(copy, expCopy, "copy")
 
     def both(op: TEL => Unit): Unit = { op(source); op(plain) }
     s.truncateTo.foreach { case (a, b) => both(_.truncate(a, b)) }
@@ -135,7 +127,7 @@ class TELCopySpec extends AnyFunSuite {
     val lateEdges = inRange(source.edges)
     sameAs(late, TEL.fromEdges(lateEdges, s.h), "late copy")
 
-    // A second-generation copy carries pending purges and appends too.
+    // A second-generation copy: of a copy(), or of a copyRange that appended.
     val again = copy.copy()
     val (ts, te) = s.window
     for ((got, exp, what) <- Seq((copy, expCopy, "copy"), (source, plain, "source"),
@@ -153,17 +145,18 @@ class TELCopySpec extends AnyFunSuite {
     val prop = Prop.forAll(scenario) { s => run(s); true }
     val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(800), prop)
     assert(result.passed, result.status.toString)
-    assert(sparseCompactions > 0 && pendingCompactions > 0 && grownAfterCopy > 0,
-      s"generator coverage: sparse=$sparseCompactions pending=$pendingCompactions " +
-        s"grown=$grownAfterCopy")
+    assert(sparseCompactions > 0, s"generator coverage: sparse=$sparseCompactions")
   }
 
-  test("copy keeps the link-strength purges pending in its source") {
-    val source = TEL.fromEdges(TestGraphs.multiEdge, h = 2) // (1,3) pending, strength 1
-    val copy = source.copy()
-    copy.decompose(1)
-    assert(copy.strengthOf(1, 3) == 0 && copy.numAliveEdges == 5)
+  test("copy() seals its source") {
+    val source = TEL.fromEdges(TestGraphs.multiEdge, h = 2) // (1,3) has one edge
     assert(source.strengthOf(1, 3) == 1 && source.numAliveEdges == 6)
+    val copy = source.copy()
+    for ((t, what) <- Seq((source, "source"), (copy, "copy"))) {
+      assert(t.strengthOf(1, 3) == 0 && t.numAliveEdges == 5, what)
+      assert(t.degreeOf(3) == 1 && t.numVertices == 3, what)
+      intercept[IllegalArgumentException](t.addEdge(1, 3, 7))
+    }
   }
 
   test("copyRange is sized by the window, not by the source") {
@@ -177,11 +170,12 @@ class TELCopySpec extends AnyFunSuite {
 
 object TELCopySpec {
   /** One scenario: a random multigraph, built at its exact size or `grown`
-    * by appends to an empty TEL (so its columns have spare slots), which copy
-    * is taken of it, the appends that follow on the source (and on a
-    * `copyRange` copy), the truncation and decomposition of the source after
-    * them, and the TCD operation that ends it; a copy of the same kind is
-    * taken again after those deletions. `compaction`, when present, compacts
+    * by appends to an empty TEL (so its columns have spare slots), the
+    * appends that follow on the source (and on a `copyRange` copy taken
+    * before them), which copy is taken of it (a `copy()` after the appends),
+    * the truncation and decomposition of the source after them, and the TCD
+    * operation that ends it; a copy of the same kind is taken again after
+    * those deletions. `compaction`, when present, compacts
     * the source twice: after the appends, and after its truncation and
     * decomposition (first truncated again to the inner window if one is
     * given, then decomposed again afterwards).

@@ -73,33 +73,36 @@ class TELSpec extends AnyFunSuite {
     assert(t.numAliveEdges == 3)
   }
 
-  test("addEdge rejects a timestamp below the last appended edge, even after truncate removed it") {
+  test("addEdge rejects an earlier timestamp; a no-op truncate or decompose seals") {
+    // An unsealed TEL has deleted nothing, so its last appended edge is its
+    // last alive one.
     val es = Vector(TemporalEdge(1, 2, 3), TemporalEdge(2, 3, 7))
-    val cut = tel(es)
-    cut.truncate(8, Int.MaxValue) // both edges are gone, the one at 7 too
-    assert(cut.isEmpty && cut.maxTimestamp.isEmpty)
-    val late = intercept[IllegalArgumentException](cut.addEdge(3, 4, 5))
-    assert(late.getMessage.contains("5 < 7"), late.getMessage)
-    // A truncation and a peel that delete nothing leave the TEL appendable.
     val t = tel(es)
-    t.truncate(3, 7)
-    t.decompose(1)
-    val err = intercept[IllegalArgumentException](t.addEdge(3, 4, 5))
-    assert(err.getMessage.contains("5 < 7"), err.getMessage)
+    val late = intercept[IllegalArgumentException](t.addEdge(3, 4, 5))
+    assert(late.getMessage.contains("5 < 7"), late.getMessage)
     t.addEdge(3, 4, 7)
     t.addEdge(2, 1, 9)
     assert(t.edges == es ++ Vector(TemporalEdge(3, 4, 7), TemporalEdge(2, 1, 9)))
     assert(t.timestamps == Vector(3, 7, 9) && t.strengthOf(1, 2) == 2 && t.degreeOf(3) == 2)
+    val ops = Seq[(String, TEL => Unit)](
+      "truncate" -> (_.truncate(3, 7)), "decompose" -> (_.decompose(1)))
+    for ((what, op) <- ops) {
+      val s = tel(es)
+      op(s)
+      assert(s.edges == es, what)
+      val err = intercept[IllegalArgumentException](s.addEdge(3, 4, 9))
+      assert(err.getMessage.contains("unsealed"), s"$what: ${err.getMessage}")
+      assert(s.edges == es && s.degreeOf(4) == 0, what)
+    }
   }
 
-  test("addEdge refuses a copy and every TEL that has deleted an edge, and leaves it as it was") {
-    // Only the master grows (§6.1), and it never deletes; queries work on
-    // copies of it (§5.2). An in-order append of a new vertex is refused on
-    // each of these.
+  test("addEdge refuses a copy and every sealed TEL, and leaves it as it was") {
+    // Only the master grows (§6.1), and queries work on copies of it (§5.2).
+    // An in-order append of a new vertex is refused on each of these.
     def refuses(t: TEL, what: String): Unit = {
       val (edges, vertices, tti) = (t.edges, t.vertices.toSet, t.tti)
       val err = intercept[IllegalArgumentException](t.addEdge(4, 5, 9))
-      assert(err.getMessage.contains("not a copy and has deleted no edge"), s"$what: $err")
+      assert(err.getMessage.contains("addEdge needs an unsealed TEL"), s"$what: $err")
       assert(t.edges == edges && t.vertices.toSet == vertices && t.tti == tti, what)
       assert(t.numAliveEdges == edges.size && t.numVertices == vertices.size, what)
       assert(t.strengthOf(4, 5) == 0 && t.degreeOf(5) == 0, what)
@@ -108,8 +111,11 @@ class TELSpec extends AnyFunSuite {
     val master = tel(path)
     val copy = master.copy()
     refuses(copy, "a copy")
-    master.addEdge(4, 5, 9) // the master still appends, and its copy does not see it
-    assert(master.edges == path :+ TemporalEdge(4, 5, 9) && copy.edges == path)
+    refuses(master, "the source of a copy")
+    assert(master.edges == path && copy.edges == path)
+    val shot = tel(path)
+    assert(shot.snapshot().get.edges == path)
+    refuses(shot, "after a snapshot")
     val headCut = tel(path)
     headCut.truncate(2, Int.MaxValue)
     refuses(headCut, "after a head truncation")
@@ -130,6 +136,45 @@ class TELSpec extends AnyFunSuite {
     purged.decompose(1)
     assert(purged.strengthOf(1, 3) == 0 && purged.numAliveEdges == 4)
     refuses(purged, "after an h = 2 purge")
+  }
+
+  test("truncate, decompose, copy() and snapshot() seal a TEL; copyRange does not") {
+    // At h = 1 the first truncate and the first decompose delete nothing.
+    val seals = Seq[(String, TEL => Unit)](
+      "truncate over all time" -> (_.truncate(Int.MinValue, Int.MaxValue)),
+      "truncate(3, 6)" -> (_.truncate(3, 6)),
+      "decompose(1)" -> (_.decompose(1)),
+      "decompose(3)" -> (_.decompose(3)),
+      "copy()" -> (_.copy()),
+      "snapshot()" -> (_.snapshot()))
+    val ids = 0L to 10L
+    for (seed <- 1 to 20; h <- 1 to 2; (what, seal) <- seals) {
+      val rnd = new scala.util.Random(seed)
+      val es = TestGraphs.random(seed, nV = 10, nE = 40, horizon = 8).sortBy(_.t)
+      val t = TEL.empty(h)
+      // Appends with copyRanges of random windows in between.
+      for (e <- es) {
+        t.addEdge(e.u, e.v, e.t)
+        if (rnd.nextInt(4) == 0) {
+          val a = rnd.nextInt(9)
+          t.copyRange(a, a + rnd.nextInt(9))
+        }
+      }
+      assert(t.edges == es, s"seed=$seed h=$h")
+      seal(t)
+      def state = (t.edges, t.vertices.toSet, ids.map(t.degreeOf),
+        for (a <- ids; b <- ids if a < b) yield t.strengthOf(a, b))
+      val before = state
+      val err = intercept[IllegalArgumentException](t.addEdge(0, 10, 9))
+      assert(err.getMessage.contains("addEdge needs an unsealed TEL"),
+        s"seed=$seed h=$h $what: $err")
+      assert(state == before, s"seed=$seed h=$h $what")
+      if (h == 2) for (c <- Seq(t, t.copy())) {
+        assert(c.edges.groupBy(_.pair).values.forall(_.size >= 2), s"seed=$seed $what")
+        for (a <- ids; b <- ids if a < b)
+          assert(c.strengthOf(a, b) == 0 || c.strengthOf(a, b) >= 2, s"seed=$seed $what: ($a,$b)")
+      }
+    }
   }
 
   test("truncate drops head timestamps") {
@@ -233,9 +278,8 @@ class TELSpec extends AnyFunSuite {
 
   test("decompose after addEdge peels new vertices below k") {
     val t = tel(triangle)
-    assert(peelsLikeReference(t, triangle, 2) == triangle) // deletes nothing, so t still appends
-    // 4 and 5 are new: they come in at degree 1 without crossing k, so the
-    // next decompose(2) must scan the degrees again to find them.
+    // 4 and 5 come in at degree 1 and never cross k, so only the first
+    // decompose(2)'s scan of the degrees finds them.
     val appended = Vector(TemporalEdge(3, 4, 4), TemporalEdge(5, 1, 4))
     appended.foreach(e => t.addEdge(e.u, e.v, e.t))
     assert(t.degreeOf(4) == 1 && t.degreeOf(5) == 1)
@@ -280,9 +324,9 @@ class TELSpec extends AnyFunSuite {
   test("NL bookkeeping holds for pairs emptied by truncate or decompose") {
     // Every pair holds at least two edges, so h = 2 keeps them all and a peel
     // at h = 1 must delete parallel edges. The master builds NL in a
-    // decompose that deletes nothing and shares it with `early`; then it
-    // gains pairs, so the copy `late` must get an NL built afresh over all of
-    // them, while `early` keeps reading the first one.
+    // decompose that deletes nothing and shares it with `early`; a second
+    // master, `grown`, also takes appends that bring new pairs, and its copy
+    // `late` shares the NL that its seal builds over all of them.
     def two(u: Long, v: Long, at: Int) = Vector.fill(2)(TemporalEdge(u, v, at))
     val k4 = Seq((2L, 3L), (2L, 4L), (2L, 5L), (3L, 4L), (3L, 5L), (4L, 5L))
     for (h <- 1 to 2) {
@@ -309,13 +353,14 @@ class TELSpec extends AnyFunSuite {
         assert(peelsLikeReference(t, t.edges, k, h).size == size, s"h=$h k=$k")
       step(master, "a peel that deletes nothing")(peel(master, 1, 16))
       val early = master.copy()
+      val grown = tel(es, h)
       // New pairs (1,4) and, with the new vertex 6, (2,6) and (3,6); and two
       // more edges of (1,2), at the tail.
-      step(master, "appends") {
+      step(grown, "appends") {
         (two(4, 1, 2) ++ two(6, 2, 2) ++ two(3, 6, 2) ++ two(1, 2, 3))
-          .foreach(e => master.addEdge(e.u, e.v, e.t))
+          .foreach(e => grown.addEdge(e.u, e.v, e.t))
       }
-      val late = master.copy()
+      val late = grown.copy()
       counts(late, "late copy")
       step(early, "early: truncate empties (1,2)")(early.truncate(1, 1))
       assert(early.strengthOf(1, 2) == 0)
@@ -330,7 +375,7 @@ class TELSpec extends AnyFunSuite {
       step(late, "late: truncate empties (1,2)")(late.truncate(1, 2))
       step(late, "late: peeling 1 empties (1,3) and (1,4)")(peel(late, 3, 12))
       step(late, "late: peel the K4 away")(peel(late, 4, 0))
-      step(master, "master: peel 6 away")(peel(master, 3, 20))
+      step(grown, "grown: peel 6 away")(peel(grown, 3, 20))
     }
   }
 
@@ -460,17 +505,18 @@ class TELSpec extends AnyFunSuite {
   }
 
   test("snapshot handles keep their core through later truncate, decompose and addEdge") {
-    // A master grows by appends, into new vertices and pairs and past the
-    // capacity of every column, and is snapshotted between them; copies
-    // taken along the way share its columns, truncate and decompose. Every
-    // handle is read only at the end.
+    // A master grows by appends, into new vertices and pairs. Between them,
+    // copyRanges over its whole timeline, which leave it unsealed, are
+    // snapshotted, copied, truncated and decomposed. Every handle is read
+    // only at the end.
     for (seed <- 1 to 12; h <- 1 to 2) {
       val es = TestGraphs.random(seed, nV = 12, nE = 50, horizon = 8).sortBy(_.t)
       val extra = TestGraphs.random(seed + 100, nV = 20, nE = 30, horizon = 2)
         .map(e => e.copy(t = e.t + 8)).sortBy(_.t)
       val (more, last) = extra.splitAt(15)
-      val master = TEL.empty(h) // grown by appends, so every column has spare slots
+      val master = TEL.empty(h)
       es.foreach(e => master.addEdge(e.u, e.v, e.t))
+      def stage(): TEL = master.copyRange(Int.MinValue, Int.MaxValue)
       // Each handle, with the edges and vertices of its TEL read at the same moment.
       val taken = Vector.newBuilder[(CoreResult, Vector[TemporalEdge], Set[Long], String)]
       def take(t: TEL, what: String): Unit =
@@ -481,25 +527,28 @@ class TELSpec extends AnyFunSuite {
         assert(t.snapshot().map(_.canonicalKey) == KCore.core(alive, k, h).map(_.canonicalKey),
           s"seed=$seed h=$h k=$k")
       }
-      take(master, "master as built")
-      val early = master.copy()
+      val built = stage()
+      take(built, "master as built")
+      val early = built.copy()
       more.foreach(e => master.addEdge(e.u, e.v, e.t))
-      assert(master.edges == es ++ more && early.edges == es, s"seed=$seed h=$h")
-      take(master, "master after appends")
+      val grown = stage()
+      assert(master.edges == es ++ more && grown.edges == es ++ more, s"seed=$seed h=$h")
+      take(grown, "master after appends")
       take(early, "early copy as taken")
       early.truncate(2, 9)
       take(early, "early copy after truncate")
       peel(early, 2)
       take(early, "early copy after decompose")
-      val late = master.copy()
+      val late = grown.copy()
       last.foreach(e => master.addEdge(e.u, e.v, e.t))
-      take(master, "master after more appends")
+      take(stage(), "master after more appends")
       late.truncate(3, 10)
       take(late, "late copy after truncate")
       peel(late, 3)
       take(late, "late copy after decompose")
       early.tcd(3, 4, 9); late.tcd(1, 9, 10)
-      peel(master, 2)
+      peel(built, 2); peel(grown, 3)
+      assert(master.edges == es ++ extra, s"seed=$seed h=$h")
       for ((c, edges, vertices, what) <- taken.result()) {
         assert(c.numEdges == edges.size && c.numVertices == vertices.size, s"seed=$seed h=$h $what")
         assert(c.edges == edges, s"seed=$seed h=$h $what: edges")
