@@ -2,67 +2,13 @@ package repro.core
 
 import java.util.Arrays.copyOf
 
-/** Open-addressing `Long -> Int` dictionary on two primitive arrays (linear
-  * probing, Fibonacci hashing, no removal) for non-negative keys. TEL uses it
-  * for the external-id and vertex-pair dictionaries behind `addEdge`,
-  * `degreeOf` and `strengthOf`.
-  */
-private[core] final class LongIntMap(expected: Int) {
-  private var keys: Array[Long] = _
-  private var vals: Array[Int] = _
-  private var shift = 0
-  private var n = 0
-  alloc(Integer.highestOneBit(math.max(8, 2 * expected) - 1) << 1)
-
-  private def alloc(capacity: Int): Unit = {
-    keys = new Array[Long](capacity)
-    java.util.Arrays.fill(keys, -1L)
-    vals = new Array[Int](capacity)
-    shift = 64 - Integer.numberOfTrailingZeros(capacity)
-  }
-
-  private def slot(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> shift).toInt
-
-  /** Value stored under `key`, or -1. */
-  def get(key: Long): Int = {
-    val mask = keys.length - 1
-    var i = slot(key)
-    while (keys(i) != -1L) {
-      if (keys(i) == key) return vals(i)
-      i = (i + 1) & mask
-    }
-    -1
-  }
-
-  /** Value stored under `key`; if there is none, stores `fresh` and returns it. */
-  def getOrPut(key: Long, fresh: Int): Int = {
-    if (2 * (n + 1) > keys.length) {
-      val (ks, vs) = (keys, vals)
-      alloc(keys.length * 2)
-      n = 0
-      var j = 0
-      while (j < ks.length) { if (ks(j) != -1L) getOrPut(ks(j), vs(j)); j += 1 }
-    }
-    val mask = keys.length - 1
-    var i = slot(key)
-    while (keys(i) != -1L) {
-      if (keys(i) == key) return vals(i)
-      i = (i + 1) & mask
-    }
-    keys(i) = key; vals(i) = fresh; n += 1
-    fresh
-  }
-
-  def bytes: Long = TEL.arrayBytes(keys.length, 8) + TEL.arrayBytes(vals.length, 4)
-}
-
 /** Temporal Edge List (paper §5.1) — the in-memory representation of a
   * temporal graph on which TCD operations execute.
   *
   * All state lives in plain arrays indexed by dense, instance-local `Int`
   * ids: edges, vertices and vertex pairs are numbered in order of
-  * appearance, and an id table maps local vertices back to their external
-  * `Long` ids for output. Edge ids ascend with timestamps: `addEdge` and
+  * appearance, and `ext` maps local vertices back to their external `Long`
+  * ids for output. Edge ids ascend with timestamps: `addEdge` and
   * `copyRange` append in time order, and `copy()` keeps ids.
   *
   * '''Two phases.''' A TEL appends until its first `truncate`, `decompose`,
@@ -132,10 +78,15 @@ private[core] final class LongIntMap(expected: Int) {
   * sized by the window, not by the source. Over the whole timeline it
   * rebuilds a TEL compactly: a TCQ row source, kept peeled, is replaced by
   * such a rebuild once fewer than half of its edge slots are alive, so every
-  * row copies a mostly-alive prefix. The only hash lookups are the
-  * external-id and pair dictionaries behind `addEdge`, `degreeOf` and
-  * `strengthOf`; a copy rebuilds them from its arrays the first time one of
-  * those is called.
+  * row copies a mostly-alive prefix.
+  *
+  * '''Id tables.''' The only hash lookups are those of `addEdge`, `degreeOf`
+  * and `strengthOf`, through two open-addressing tables that hold local ids
+  * only: `vertexIds`, keyed through `ext`, and `pairIds`, keyed through
+  * `pu` and `pv` in either order, so no key is stored twice. Ids are dense,
+  * so one function builds a table from the ids `0 until n`: when a new id
+  * would leave a table more than half full, and on the first lookup in a
+  * TEL that has none (a new TEL, a `copy()` or a `copyRange` result).
   *
   * Instances are single-threaded and mutable. `addEdge` implements the
   * dynamic-graph extension (§6.1): timestamps may only append at or after the
@@ -174,8 +125,9 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   private var peelK = 0                     // k of the last decompose; 0 = none yet
   private var below: Array[Int] = null      // stack of vertices below peelK
   private var nBelow = 0
-  private var vertexIds: LongIntMap = null  // external id -> local vertex
-  private var pairIds: LongIntMap = null    // pairKey(local u, local v) -> pair
+  // ---- id tables: local vertices keyed by ext, pairs by (pu, pv); -1 =
+  // empty; null until the first addEdge, degreeOf or strengthOf ----
+  private var vertexIds, pairIds: Array[Int] = null
   // False for a TEL made by copy(): it shares the write-once columns (et,
   // epair, pu, pv, ext, nl, nlStart) with its source, and never appends.
   private var ownsColumns = true
@@ -188,16 +140,16 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   def vertices: Iterator[Long] = Iterator.range(0, nVerts).filter(degree(_) > 0).map(ext(_))
 
   def degreeOf(v: Long): Int = {
-    dictionaries()
-    val x = vertexIds.get(v)
+    idTables()
+    val x = vertexIds(findVertex(v))
     if (x < 0) 0 else degree(x)
   }
 
   def strengthOf(u: Long, v: Long): Int = {
-    dictionaries()
-    val a = vertexIds.get(u)
-    val b = vertexIds.get(v)
-    val p = if (a < 0 || b < 0) -1 else pairIds.get(pairKey(a, b))
+    idTables()
+    val a = vertexIds(findVertex(u))
+    val b = vertexIds(findVertex(v))
+    val p = if (a < 0 || b < 0) -1 else pairIds(findPair(a, b))
     if (p < 0) 0 else math.max(strength(p), 0)
   }
 
@@ -259,14 +211,22 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
 
   /** The local vertex of external id `id`; a fresh one if there is none. */
   private def vertexSlot(id: Long): Int = {
-    val x = vertexIds.getOrPut(id, nVerts)
-    if (x == nVerts) newVertex(id) else x
+    val i = findVertex(id)
+    if (vertexIds(i) >= 0) vertexIds(i) else {
+      val x = newVertex(id)
+      if (2 * nVerts > vertexIds.length) vertexIds = idTable(nVerts, ext(_)) else vertexIds(i) = x
+      x
+    }
   }
 
   /** The pair slot of local vertices `a` and `b`; a fresh one if there is none. */
   private def pairSlot(a: Int, b: Int): Int = {
-    val p = pairIds.getOrPut(pairKey(a, b), nPairs)
-    if (p == nPairs) newPair(a, b) else p
+    val i = findPair(a, b)
+    if (pairIds(i) >= 0) pairIds(i) else {
+      val p = newPair(a, b)
+      if (2 * nPairs > pairIds.length) pairIds = idTable(nPairs, pairKeyOf) else pairIds(i) = p
+      p
+    }
   }
 
   /** Allocates local vertex `nVerts`, with external id `id`, and returns it. */
@@ -323,17 +283,56 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     else if (d == peelK - 1) { below(nBelow) = x; nBelow += 1 }
   }
 
-  /** Builds the external-id and pair dictionaries if this instance is a copy
-    * that has none yet.
+  /** Builds both id tables if this TEL has none yet: it is new, or a
+    * `copy()` or `copyRange` result.
     */
-  private def dictionaries(): Unit = if (vertexIds == null) {
-    vertexIds = new LongIntMap(nVerts)
-    var x = 0
-    while (x < nVerts) { vertexIds.getOrPut(ext(x), x); x += 1 }
-    pairIds = new LongIntMap(nPairs)
-    var p = 0
-    while (p < nPairs) { pairIds.getOrPut(pairKey(pu(p), pv(p)), p); p += 1 }
+  private def idTables(): Unit = if (vertexIds == null) {
+    vertexIds = idTable(nVerts, ext(_))
+    pairIds = idTable(nPairs, pairKeyOf)
   }
+
+  /** An id table of the ids `0 until n`, keyed by `keyOf`: a power of two
+    * of at least `max(8, 2n)` slots, so at most half full, with -1 in the
+    * empty ones.
+    */
+  private def idTable(n: Int, keyOf: Int => Long): Array[Int] = {
+    val table = new Array[Int](Integer.highestOneBit(math.max(8, 2 * n) - 1) << 1)
+    java.util.Arrays.fill(table, -1)
+    for (x <- 0 until n) {
+      var i = home(keyOf(x), table.length)
+      while (table(i) >= 0) i = (i + 1) & (table.length - 1)
+      table(i) = x
+    }
+    table
+  }
+
+  /** The first slot to probe for `key` in an id table of `size` slots, a
+    * power of two: Fibonacci hashing onto the top bits of the product.
+    */
+  private def home(key: Long, size: Int): Int =
+    ((key * 0x9E3779B97F4A7C15L) >>> (64 - Integer.numberOfTrailingZeros(size))).toInt
+
+  /** The slot of `vertexIds` that holds the vertex with external id `id`, or
+    * else the empty slot where linear probing for it stops.
+    */
+  private def findVertex(id: Long): Int = {
+    var i = home(id, vertexIds.length)
+    while (vertexIds(i) >= 0 && ext(vertexIds(i)) != id) i = (i + 1) & (vertexIds.length - 1)
+    i
+  }
+
+  /** The slot of `pairIds` that holds the pair of local vertices `a` and `b`,
+    * in either order, or else the empty slot where linear probing stops.
+    */
+  private def findPair(a: Int, b: Int): Int = {
+    val key = pairKey(a, b)
+    var i = home(key, pairIds.length)
+    while (pairIds(i) >= 0 && pairKeyOf(pairIds(i)) != key) i = (i + 1) & (pairIds.length - 1)
+    i
+  }
+
+  /** The key of pair `p`: `pairKey` of its endpoints, the same in both orders. */
+  private def pairKeyOf(p: Int): Long = pairKey(pu(p), pv(p))
 
   /** Appends an edge of pair `p` at time `t` as the new tail of the
     * timeline, plus the strength update; a pair's first alive edge also adds
@@ -354,20 +353,20 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
   }
 
   /** `add_edge(u, v, t)` (§6.1): dynamic append. Requires `u != v`,
-    * non-negative ids (the id dictionary keeps -1 as its empty key), and `t`
-    * no earlier than the last appended edge's timestamp, so edge ids stay in
-    * timestamp order. Also requires an unsealed TEL: only the master grows,
+    * non-negative ids, since external vertex ids are the non-negative
+    * `Long`s (DESIGN.md §1), and `t` no earlier than the last appended
+    * edge's timestamp, so edge ids stay in timestamp order. Also requires an unsealed TEL: only the master grows,
     * and queries work on copies of it (§5.2). So no array that a copy or a
     * snapshot handle shares is ever written again.
     */
   def addEdge(u: Long, v: Long, t: Int): Unit = {
     require(u != v, s"self-loop ($u,$v,$t) not allowed")
-    require(u >= 0 && v >= 0, s"vertex ids must be non-negative, got ($u,$v)")
+    require(u >= 0 && v >= 0, s"vertex ids must be non-negative Longs, got ($u,$v)")
     require(nEdges == 0 || t >= et(nEdges - 1),
       s"timestamps must be appended in order: $t < ${et(nEdges - 1)}")
     require(nl == null, "addEdge needs an unsealed TEL: one that no truncate, decompose, " +
       "copy() or snapshot() has touched, and that was not made by copy()")
-    dictionaries()
+    idTables()
     val a = vertexSlot(u)
     val b = vertexSlot(v)
     append(pairSlot(a, b), t)
@@ -527,7 +526,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     * endpoints, the external ids and NL) are shared with this TEL; both are
     * sealed, so neither writes them again. Since liveness follows from the
     * timeline's ends and the strengths, the copy needs no per-edge state of
-    * its own. The copy starts without the peel stack and dictionaries and
+    * its own. The copy starts without the peel stack and id tables and
     * builds them when first needed.
     */
   def copy(): TEL = {
@@ -541,7 +540,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     t
   }
 
-  /** Bytes held by this TEL's arrays, dictionaries and peel stack (Table 5),
+  /** Bytes held by this TEL's arrays, id tables and peel stack (Table 5),
     * counted from their allocated lengths with a 16-byte header per array.
     * Pointers in the paper's TEL correspond to the Int slots of NL here.
     * Write-once columns shared between copies count only in the instance
@@ -552,8 +551,7 @@ final class TEL private (val h: Int, edgeCapacity: Int) {
     def ints(as: Array[Int]*): Long = as.filter(_ != null).map(a => arrayBytes(a.length, 4)).sum
     val owned = if (ownsColumns) arrayBytes(ext.length, 8) +
       ints(et, epair, pu, pv, nl, nlStart) else 0L
-    owned + ints(degree, strength, below) +
-      Option(vertexIds).fold(0L)(_.bytes) + Option(pairIds).fold(0L)(_.bytes)
+    owned + ints(degree, strength, below, vertexIds, pairIds)
   }
 }
 

@@ -11,7 +11,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * deletion, also after a `copyRange` of it, and that `copyRange` result. A
   * source compacted by a `copyRange` over its whole timeline, as a TCQ row
   * source is, must also behave exactly like one that went through the same
-  * truncations and decompositions uncompacted.
+  * truncations and decompositions uncompacted. Vertex ids are spread as in
+  * `TCQDifferentialSpec`, so the id tables grow on wide ids in masters,
+  * copies, `copyRange` results and compacted sources.
   */
 class TELCopySpec extends AnyFunSuite {
   import TELCopySpec.Scenario
@@ -53,30 +55,49 @@ class TELCopySpec extends AnyFunSuite {
       gaps.scanLeft(horizon + 1)(_ + _).tail.map(appended))
     k <- Gen.choose(1, 3)
     w <- window
-  } yield Scenario(h, edges.toVector, grown, truncateTo, decomposeK, compaction, range, appends,
-    k, w)
+    // Vertex i becomes base + i * stride; the top spread ends at Long.MaxValue.
+    spread <- Gen.oneOf((0L, 1L), (1L << 40, 1L << 33), (Long.MaxValue - 7L * nAll, 7L))
+  } yield {
+    val (base, stride) = spread
+    def ids(es: Seq[TemporalEdge]) =
+      es.map(e => TemporalEdge(base + e.u * stride, base + e.v * stride, e.t)).toVector
+    Scenario(h, ids(edges), grown, truncateTo, decomposeK, compaction, range, ids(appends), k,
+      w, (0 to nAll).map(base + _ * stride))
+  }
 
   /** Compactions, counted across all cases, of a source with fewer than half
     * of its edge slots alive.
     */
   private var sparseCompactions = 0
 
-  /** Every observable the TEL offers, compared with a from-scratch TEL. */
-  private def sameAs(got: TEL, exp: TEL, what: String): Unit = {
+  /** Every observable the TEL offers, compared with a from-scratch TEL, and
+    * `degreeOf` and `strengthOf` at the vertex ids `ids` also with the
+    * adjacency of `got`'s alive edges, in which a pair of fewer than `h`
+    * edges counts for nothing: `h` is the TEL's own once it is sealed (§6.2),
+    * else 1. The from-scratch TEL looks ids up through the same tables.
+    */
+  private def matches(got: TEL, exp: TEL, what: String, ids: Seq[Long], h: Int): Unit = {
     assert(got.edges == exp.edges, s"$what: edges")
     assert(got.timestamps == exp.timestamps, s"$what: timestamps")
     assert(got.tti == exp.tti, s"$what: tti")
     assert(got.numAliveEdges == exp.numAliveEdges, s"$what: numAliveEdges")
     assert(got.numVertices == exp.numVertices, s"$what: numVertices")
     assert(got.vertices.toSet == exp.vertices.toSet, s"$what: vertices")
-    for (u <- 0 until nAll + 1) {
+    val adj = KCore.adjacency(got.edges)
+    def strength(u: Long, v: Long) = adj.get(u).flatMap(_.get(v)).filter(_ >= h).getOrElse(0)
+    for (u <- ids) {
       assert(got.degreeOf(u) == exp.degreeOf(u), s"$what: degreeOf($u)")
-      for (v <- 0 until nAll + 1 if v != u)
+      assert(got.degreeOf(u) == ids.count(strength(u, _) > 0), s"$what: degreeOf($u) vs adjacency")
+      for (v <- ids if v != u) {
         assert(got.strengthOf(u, v) == exp.strengthOf(u, v), s"$what: strengthOf($u, $v)")
+        assert(got.strengthOf(u, v) == strength(u, v), s"$what: strengthOf($u, $v) vs adjacency")
+      }
     }
   }
 
   private def run(s: Scenario): Unit = {
+    def sameAs(got: TEL, exp: TEL, what: String, isSealed: Boolean = false): Unit =
+      matches(got, exp, what, s.ids, if (isSealed) s.h else 1)
     var source = if (!s.grown) TEL.fromEdges(s.edges, s.h) else {
       val t = TEL.empty(s.h)
       s.edges.sortBy(_.t).foreach(e => t.addEdge(e.u, e.v, e.t))
@@ -107,7 +128,7 @@ class TELCopySpec extends AnyFunSuite {
     val copyEdges = inRange(before) ++ s.appends
     val expCopy = TEL.fromEdges(copyEdges, s.h)
     if (s.range.isEmpty) seal(expCopy)
-    sameAs(copy, expCopy, "copy")
+    sameAs(copy, expCopy, "copy", isSealed = s.range.isEmpty)
 
     def both(op: TEL => Unit): Unit = { op(source); op(plain) }
     s.truncateTo.foreach { case (a, b) => both(_.truncate(a, b)) }
@@ -137,7 +158,7 @@ class TELCopySpec extends AnyFunSuite {
       exp.tcd(s.k, ts, te)
       assert(got.snapshot().map(_.canonicalKey) == exp.snapshot().map(_.canonicalKey),
         s"$what: core after tcd")
-      sameAs(got, exp, s"$what after tcd")
+      sameAs(got, exp, s"$what after tcd", isSealed = true)
     }
   }
 
@@ -178,7 +199,8 @@ object TELCopySpec {
     * those deletions. `compaction`, when present, compacts
     * the source twice: after the appends, and after its truncation and
     * decomposition (first truncated again to the inner window if one is
-    * given, then decomposed again afterwards).
+    * given, then decomposed again afterwards). Vertex `i` of `edges` and
+    * `appends` has id `ids(i)`; the last of `ids` is held by no edge.
     */
   final case class Scenario(
       h: Int,
@@ -190,5 +212,6 @@ object TELCopySpec {
       range: Option[(Int, Int)],
       appends: Vector[TemporalEdge],
       k: Int,
-      window: (Int, Int))
+      window: (Int, Int),
+      ids: IndexedSeq[Long])
 }
